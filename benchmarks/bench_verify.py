@@ -1,32 +1,35 @@
-"""Batched BnB verifier throughput vs the reference engine.
+"""BnB verifier throughput vs the interpretive transfer oracle.
 
-The batched engine (``BnBConfig(engine='batched')``) runs the sound
-branch-and-bound search through translate-once compiled transfers with
-prefix sharing between split children and, for ``jobs > 1``, a
-speculative worker pipeline whose results are committed in strict
-serial heap order.  The reference engine is the historical barriered
-search — one box per task through the interpretive transfer — kept as
-the identity oracle and as this benchmark's baseline.
+The search (``BnBVerifier.run``) runs the sound branch-and-bound
+refinement in-process through translate-once compiled transfers, with
+prefix sharing between split children.  The interpretive transfer
+(``IntervalTransfer.analyze_interpretive``) is the original
+per-instruction dispatcher: it analyzes one box at a time from scratch
+and is the oracle the compiled path must match.  This benchmark
+divides the search's end-to-end boxes/sec by the oracle's boxes/sec
+over the same run's leaves.
 
-Before anything is timed a differential guard asserts the two engines
-produce the identical leaf partition and certified bound on every
-measured kernel, and that the batched partition is jobs-invariant; a
-throughput number for a wrong answer would be meaningless.
+Before a ratio counts, an identity guard asserts that the oracle
+re-derives every leaf's recorded bound exactly (a leaf the oracle
+cannot analyze counts as an infinite bound); a throughput number for a
+wrong answer would be meaningless.
 
 As a script it writes the ``BENCH_verify.json`` baseline consumed by
 CI and fails if fewer than ``--min-kernels`` kernels reach the
-``--min-ratio`` floor at ``jobs=1``::
+``--min-ratio`` floor::
 
     PYTHONPATH=src python benchmarks/bench_verify.py \\
         --out BENCH_verify.json --min-ratio 1.5 --min-kernels 3
 """
 
 import json
+import math
 import sys
 import time
 
 from repro.kernels.libimf import LIBIMF_KERNELS
 from repro.verify.bnb import BnBConfig, BnBVerifier
+from repro.verify.interval import IntervalUnsupported
 
 KERNELS = tuple(sorted(LIBIMF_KERNELS))
 # Degree-reduced rewrites give a real, nonzero approximation error.
@@ -43,73 +46,60 @@ def _verifier(name):
                        dict(spec.ranges))
 
 
-def _partition(result):
-    return (result.bound_ulps, tuple(result.leaf_bounds),
-            tuple(box.bounds for box in result.leaves))
+def _interpretive_bounds(verifier, leaves):
+    """The oracle's bound for every leaf, and its boxes/sec doing so."""
+    transfer = verifier.transfer
+    bounds = []
+    start = time.perf_counter()
+    for leaf in leaves:
+        try:
+            bound, _, _ = transfer.analyze_interpretive(leaf)
+        except IntervalUnsupported:
+            bound = math.inf
+        bounds.append(bound)
+    return bounds, len(leaves) / (time.perf_counter() - start)
 
 
-def _best_rate(verifier, config, repeats):
-    """Best-of boxes/sec over ``repeats`` runs of one configuration."""
-    best = 0.0
+def measure_kernel(name, budget=BUDGET, repeats=REPEATS):
+    """Best-of-``repeats`` boxes/sec of the search and of the oracle on
+    its leaves, measured alternately so drift hits both alike."""
+    verifier = _verifier(name)
+    config = BnBConfig(max_boxes=budget)
+    engine = oracle = 0.0
     for _ in range(repeats):
         start = time.perf_counter()
         result = verifier.run(config)
-        elapsed = time.perf_counter() - start
-        best = max(best, result.boxes_explored / elapsed)
-    return best
+        engine = max(engine, result.boxes_explored /
+                     (time.perf_counter() - start))
+        bounds, rate = _interpretive_bounds(verifier, result.leaves)
+        # Identity guard: the oracle re-derives every recorded bound.
+        assert bounds == list(result.leaf_bounds), \
+            f"compiled leaf bounds diverged from the oracle on {name}"
+        oracle = max(oracle, rate)
+    return {"kernel": name, "budget": budget,
+            "boxes_explored": result.boxes_explored,
+            "leaves": len(result.leaves),
+            "bound_ulps": result.bound_ulps,
+            "engine_boxes_per_sec": engine,
+            "interpretive_boxes_per_sec": oracle,
+            "ratio": engine / oracle}
 
 
-def measure_kernel(name, budget=BUDGET, jobs_list=(1,), repeats=REPEATS):
-    """Engine-vs-engine boxes/sec for one kernel at each jobs level."""
-    verifier = _verifier(name)
-
-    # Identity guard: identical partition and bound, and a
-    # jobs-invariant batched partition, before any timing.
-    reference = verifier.run(BnBConfig(max_boxes=budget,
-                                       engine="reference"))
-    batched = verifier.run(BnBConfig(max_boxes=budget, engine="batched"))
-    assert _partition(batched) == _partition(reference), \
-        f"batched engine diverged from reference on {name}"
-    for jobs in jobs_list:
-        if jobs == 1:
-            continue
-        parallel = verifier.run(BnBConfig(max_boxes=budget,
-                                          engine="batched", jobs=jobs))
-        assert _partition(parallel) == _partition(batched), \
-            f"batched partition depends on jobs={jobs} on {name}"
-
-    row = {"kernel": name, "budget": budget,
-           "boxes_explored": batched.boxes_explored,
-           "bound_ulps": batched.bound_ulps}
-    for jobs in jobs_list:
-        ref = _best_rate(verifier, BnBConfig(max_boxes=budget, jobs=jobs,
-                                             engine="reference"), repeats)
-        bat = _best_rate(verifier, BnBConfig(max_boxes=budget, jobs=jobs,
-                                             engine="batched"), repeats)
-        row[f"reference_jobs{jobs}_boxes_per_sec"] = ref
-        row[f"batched_jobs{jobs}_boxes_per_sec"] = bat
-        row[f"ratio_jobs{jobs}"] = bat / ref if ref > 0 else float("inf")
-    return row
-
-
-def run_baseline(kernels=KERNELS, budget=BUDGET, jobs_list=(1,),
-                 repeats=REPEATS):
-    rows = [measure_kernel(name, budget=budget, jobs_list=jobs_list,
-                           repeats=repeats) for name in kernels]
-    ratios = sorted((r["ratio_jobs1"] for r in rows), reverse=True)
+def run_baseline(kernels=KERNELS, budget=BUDGET, repeats=REPEATS):
+    rows = [measure_kernel(name, budget=budget, repeats=repeats)
+            for name in kernels]
+    ratios = sorted((r["ratio"] for r in rows), reverse=True)
     return {
         "benchmark": "bnb_verify_throughput",
         "budget": budget,
         "repeats": repeats,
-        "jobs": list(jobs_list),
-        "note": "boxes/sec through BnBVerifier.run end to end; ratios "
-                "compare the batched engine (compiled transfers, prefix "
-                "sharing, speculative dispatch) against the reference "
-                "engine on identical partitions (asserted before "
-                "timing).",
+        "note": "ratio = end-to-end BnBVerifier.run boxes/sec over "
+                "IntervalTransfer.analyze_interpretive boxes/sec on the "
+                "same run's leaves (best of repeats each), after the "
+                "oracle re-derived every leaf bound exactly.",
         "results": rows,
-        "min_ratio_jobs1": ratios[-1],
-        "median_ratio_jobs1": ratios[len(ratios) // 2],
+        "min_ratio": ratios[-1],
+        "median_ratio": ratios[len(ratios) // 2],
     }
 
 
@@ -119,11 +109,10 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--kernels", nargs="*", default=list(KERNELS))
     parser.add_argument("--budget", type=int, default=BUDGET)
-    parser.add_argument("--jobs-list", type=int, nargs="*", default=[1])
     parser.add_argument("--repeats", type=int, default=REPEATS)
     parser.add_argument("--out", default="BENCH_verify.json")
     parser.add_argument("--min-ratio", type=float, default=0.0,
-                        help="the batched/reference jobs=1 floor a "
+                        help="the search/oracle boxes-per-second floor a "
                              "kernel must reach to count toward "
                              "--min-kernels")
     parser.add_argument("--min-kernels", type=int, default=3,
@@ -132,30 +121,24 @@ def main():
                              "regression gate)")
     args = parser.parse_args()
     baseline = run_baseline(kernels=tuple(args.kernels),
-                            budget=args.budget,
-                            jobs_list=tuple(args.jobs_list),
-                            repeats=args.repeats)
+                            budget=args.budget, repeats=args.repeats)
     with open(args.out, "w") as fh:
         json.dump(baseline, fh, indent=2)
         fh.write("\n")
     for row in baseline["results"]:
-        parts = [f"{row['kernel']}:"]
-        for jobs in baseline["jobs"]:
-            parts.append(
-                f"jobs={jobs} reference "
-                f"{row[f'reference_jobs{jobs}_boxes_per_sec']:,.0f} | "
-                f"batched {row[f'batched_jobs{jobs}_boxes_per_sec']:,.0f} "
-                f"boxes/s ({row[f'ratio_jobs{jobs}']:.2f}x)")
-        print("  ".join(parts))
+        print(f"{row['kernel']}: search "
+              f"{row['engine_boxes_per_sec']:,.0f} | interpretive "
+              f"{row['interpretive_boxes_per_sec']:,.0f} boxes/s "
+              f"({row['ratio']:.2f}x)")
     print(f"wrote {args.out}")
     if args.min_ratio > 0.0:
         reached = [row["kernel"] for row in baseline["results"]
-                   if row["ratio_jobs1"] >= args.min_ratio]
+                   if row["ratio"] >= args.min_ratio]
         print(f"{len(reached)}/{len(baseline['results'])} kernels at or "
               f"above {args.min_ratio:.2f}x: {', '.join(reached)}")
         if len(reached) < args.min_kernels:
             print(f"FAIL: only {len(reached)} kernels reached the "
-                  f"{args.min_ratio:.2f}x batched/reference floor "
+                  f"{args.min_ratio:.2f}x search/interpretive floor "
                   f"(need {args.min_kernels})", file=sys.stderr)
             sys.exit(1)
 

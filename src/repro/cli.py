@@ -242,8 +242,7 @@ def cmd_verify(args) -> int:
                   f"{len(seeds)} counterexample seed(s)")
 
     config = BnBConfig(max_boxes=args.budget, deadline=args.deadline,
-                       target_gap=args.target_gap, jobs=args.jobs,
-                       seeds=seeds, engine=args.engine)
+                       target_gap=args.target_gap, seeds=seeds)
     result = verifier.run(config)
     if not quiet:
         print(f"certified bound: {result.bound_ulps:.6g} ULPs "
@@ -258,10 +257,8 @@ def cmd_verify(args) -> int:
         print(f"# {result.boxes_explored} boxes explored, "
               f"{result.boxes_pruned} pruned, {len(result.leaves)} leaves, "
               f"frontier peak {result.max_frontier}, "
-              f"{result.rounds} rounds x {result.jobs} worker(s), "
-              f"{result.wall_time:.2f}s "
-              f"({result.boxes_per_second:,.0f} boxes/s, "
-              f"engine={config.engine})")
+              f"{result.rounds} rounds, {result.wall_time:.2f}s "
+              f"({result.boxes_per_second:,.0f} boxes/s)")
         print(f"# bit ops: {result.stats.concrete_bit_ops} concrete, "
               f"{result.stats.widened_bit_ops} widened")
         if args.profile_transfers and result.stats.op_seconds:
@@ -318,7 +315,6 @@ def cmd_verify(args) -> int:
                   f"({cert.size_bytes:,} bytes, {len(cert.leaves)} leaves)")
     if args.json:
         payload = {
-            "engine": config.engine,
             "domain": result.domain,
             "bound_ulps": S.enc_float(result.bound_ulps),
             "lower_bound": S.enc_float(result.lower_bound),
@@ -330,7 +326,6 @@ def cmd_verify(args) -> int:
             "leaves": len(result.leaves),
             "rounds": result.rounds,
             "max_frontier": result.max_frontier,
-            "jobs": result.jobs,
             "seeds_covered": result.seeds_covered,
             "unsupported": result.unsupported,
             "per_location": {loc: S.enc_float(v)
@@ -946,14 +941,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="wall-clock refinement deadline")
     ver.add_argument("--target-gap", type=float, default=None, metavar="G",
                      help="stop once bound <= lower + G*max(lower, 1)")
-    ver.add_argument("--jobs", type=_nonnegative_int, default=1,
-                     metavar="N",
-                     help="refinement worker processes (0 = cpu count)")
-    ver.add_argument("--engine", choices=("batched", "reference"),
-                     default="batched",
-                     help="'batched' = pipelined compiled transfers "
-                          "(jobs-invariant partition); 'reference' = the "
-                          "historical barriered interpretive engine")
     ver.add_argument("--domain", choices=("separate", "relational"),
                      default="separate",
                      help="'separate' = independent output hulls; "

@@ -193,8 +193,7 @@ def run_chains(
 
 
 # ---------------------------------------------------------------------------
-# Generic persistent task pool (used by the branch-and-bound verifier and
-# the campaign scheduler)
+# Generic persistent task pool (used by the campaign scheduler)
 
 
 @dataclass
@@ -207,18 +206,6 @@ class TaskOutcome:
     error: Optional[str] = None
     kind: str = "ok"  # 'ok' | 'error' | 'timeout' | 'crash'
     elapsed: float = 0.0
-
-
-class TaskError(RuntimeError):
-    """A task function raised in a worker."""
-
-
-class TaskTimeout(TaskError):
-    """A task exceeded its per-task deadline and its worker was killed."""
-
-
-class TaskCrash(TaskError):
-    """A worker process died mid-task (killed, segfaulted, OOMed)."""
 
 
 def _pool_worker(context_factory: Callable, spec, task_fn: Callable,
@@ -297,15 +284,10 @@ class TaskPool:
     ``'crash'`` outcome, and a replacement worker is spawned; a task
     that exceeds its deadline (``task_timeout`` or the per-submit
     override) has its worker killed and is reported as ``'timeout'``.
-    ``KeyboardInterrupt`` during :meth:`map`/:meth:`run` terminates all
-    workers before re-raising, so no subprocess outlives the batch.
 
-    Two surfaces:
-
-    * :meth:`map` / :meth:`run` — synchronous batches (the verifier).
-    * :meth:`submit` / :meth:`poll` — streaming dispatch with completion
-      draining (the campaign scheduler), where tasks are fed as their
-      dependencies resolve rather than as one pre-known batch.
+    Tasks stream in through :meth:`submit` and their outcomes drain
+    through :meth:`poll`, so the campaign scheduler can feed jobs as
+    their dependencies resolve rather than as one pre-known batch.
     """
 
     # A fresh worker must survive at least one task this many times in a
@@ -342,17 +324,10 @@ class TaskPool:
             for _ in range(self.jobs):
                 self._workers.append(self._spawn())
 
-    # -- compatibility shim: truthy when subprocess-backed ---------------
     @property
     def inline(self) -> bool:
         """True when tasks run in-process (``jobs=1``)."""
         return self._ctx is None
-
-    def set_context(self, context) -> None:
-        """Replace the inline context (callers with a prebuilt one)."""
-        if not self.inline:
-            raise ValueError("set_context only applies to inline pools")
-        self._context = context
 
     # -- worker lifecycle -------------------------------------------------
 
@@ -479,7 +454,7 @@ class TaskPool:
         self._kill_deadline_breakers(time.monotonic())
         self._dispatch()
 
-    # -- public: streaming ------------------------------------------------
+    # -- public -----------------------------------------------------------
 
     def submit(self, key, item, timeout: Optional[float] = None) -> None:
         """Queue one task; its outcome arrives via :meth:`poll` under
@@ -523,64 +498,6 @@ class TaskPool:
     def in_flight(self) -> int:
         """Tasks submitted whose outcomes have not been drained."""
         return self._in_flight
-
-    @property
-    def idle_workers(self) -> int:
-        """Workers alive and not running a task (0 for inline pools).
-
-        Streaming callers use this to size speculative dispatch: keep
-        submitting while capacity is free, stop once saturated.
-        """
-        if self.inline:
-            return 0
-        return sum(1 for w in self._workers
-                   if not w.busy and w.proc.is_alive())
-
-    # -- public: batches --------------------------------------------------
-
-    def run(self, items: Sequence,
-            timeout: Optional[float] = None) -> List[TaskOutcome]:
-        """Run a batch; outcomes in item order, errors as values."""
-        items = list(items)
-        if self._in_flight:
-            raise RuntimeError("run() needs an idle pool; drain poll() first")
-        try:
-            for index, item in enumerate(items):
-                self.submit(index, item, timeout=timeout)
-            collected: List[TaskOutcome] = []
-            while len(collected) < len(items):
-                drained = self.poll(timeout=60.0)
-                if not drained and self._in_flight == 0:
-                    raise RuntimeError(
-                        f"pool lost track of {len(items) - len(collected)} "
-                        "task(s)")
-                collected.extend(drained)
-        except KeyboardInterrupt:
-            self.close()
-            raise
-        collected.sort(key=lambda o: o.key)
-        return collected
-
-    def map(self, items: Sequence) -> List:
-        """Apply the task function to every item; results in item order.
-
-        Raises :class:`TaskError` / :class:`TaskTimeout` /
-        :class:`TaskCrash` on the first failed task (after the batch
-        drains), matching the fail-fast contract of the original
-        ``multiprocessing.Pool`` implementation.
-        """
-        items = list(items)
-        if not items:
-            return []
-        if self.inline:
-            return [self._task_fn(self._context, item) for item in items]
-        outcomes = self.run(items, timeout=self.task_timeout)
-        for outcome in outcomes:
-            if not outcome.ok:
-                exc_type = {"timeout": TaskTimeout,
-                            "crash": TaskCrash}.get(outcome.kind, TaskError)
-                raise exc_type(f"task {outcome.key}: {outcome.error}")
-        return [outcome.value for outcome in outcomes]
 
     def close(self) -> None:
         self._closed = True

@@ -86,7 +86,6 @@ def report(points: List[ScalingPoint], title: str) -> str:
 @dataclass
 class BnBPoint:
     budget: int
-    jobs: int
     bound: float
     boxes: int
     pruned: int
@@ -95,15 +94,12 @@ class BnBPoint:
 
 
 def run_bnb_sweep(kernel: str = "log", degree: int = 12,
-                  budgets=(64, 256, 1024, 4096),
-                  jobs_list=(1, 0)) -> List[BnBPoint]:
+                  budgets=(64, 256, 1024, 4096)) -> List[BnBPoint]:
     """Branch-and-bound convergence: certified bound vs box budget.
 
     The sound counterpart to the exhaustive wall above — refinement cost
-    grows linearly with the budget while the bound tightens, and the
-    worker pool parallelizes it (``jobs=0`` = cpu count).
+    grows linearly with the budget while the bound tightens.
     """
-    from repro.core.parallel import default_jobs
     from repro.kernels.libimf import LIBIMF_KERNELS
     from repro.verify.bnb import BnBConfig, BnBVerifier
 
@@ -112,23 +108,21 @@ def run_bnb_sweep(kernel: str = "log", degree: int = 12,
     verifier = BnBVerifier(spec.program, factory(degree).program,
                            spec.live_outs, dict(spec.ranges))
     points = []
-    for jobs in jobs_list:
-        resolved = jobs if jobs else default_jobs()
-        for budget in budgets:
-            result = verifier.run(BnBConfig(max_boxes=budget, jobs=resolved))
-            points.append(BnBPoint(
-                budget=budget, jobs=resolved, bound=result.bound_ulps,
-                boxes=result.boxes_explored, pruned=result.boxes_pruned,
-                seconds=result.wall_time, termination=result.termination,
-            ))
+    for budget in budgets:
+        result = verifier.run(BnBConfig(max_boxes=budget))
+        points.append(BnBPoint(
+            budget=budget, bound=result.bound_ulps,
+            boxes=result.boxes_explored, pruned=result.boxes_pruned,
+            seconds=result.wall_time, termination=result.termination,
+        ))
     return points
 
 
 def report_bnb(points: List[BnBPoint], title: str) -> str:
-    rows = [(p.budget, p.jobs, f"{p.bound:.3e}", p.boxes,
-             f"{p.seconds:.3f}s", p.termination) for p in points]
+    rows = [(p.budget, f"{p.bound:.3e}", p.boxes, f"{p.seconds:.3f}s",
+             p.termination) for p in points]
     return format_table(
-        ("budget", "jobs", "certified bound", "boxes", "time", "stop"),
+        ("budget", "certified bound", "boxes", "time", "stop"),
         rows, title=title)
 
 

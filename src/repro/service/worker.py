@@ -228,10 +228,9 @@ def _run_verify(context: Dict, digest: str, payload: Dict,
     verifier = BnBVerifier(spec.program, rewrite, spec.live_outs, ranges,
                            memory=memory, concrete_gp=concrete_gp,
                            domain=domain)
-    # Workers are (daemonic) pool processes and must not nest pools, so
-    # the refinement always runs inline here; campaign parallelism comes
-    # from running many verify jobs at once.
-    config = BnBConfig(max_boxes=payload["max_boxes"], jobs=1)
+    # Campaign parallelism comes from running many verify jobs at once;
+    # each refinement runs in its worker's process.
+    config = BnBConfig(max_boxes=payload["max_boxes"])
     resume = _load_checkpoint(context, digest, "verify",
                               BnBCheckpoint.from_dict)
     if resume is not None and resume.domain != domain:

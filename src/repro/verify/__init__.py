@@ -13,7 +13,7 @@ Three techniques with exactly the paper's trade-offs:
   in input width (the decision-procedure analogue).
 
 The full sound pipeline — budgeted refinement, counterexample seeding,
-process-parallel workers, and checkable certificates — lives in
+and checkable certificates — lives in
 :mod:`repro.verify.bnb`, :mod:`repro.verify.partition`,
 :mod:`repro.verify.certificate`, and :mod:`repro.verify.checker`
 (DESIGN.md §10).  The relational product-program domain, which bounds

@@ -17,19 +17,14 @@ with the largest interval bound along its widest ULP-space dimension:
   largest is a *lower* bound on the sup error, boxes whose bound is
   already below it are never worth refining (pruned), and boxes that
   contain a counterexample are refined first while the bound has slack.
-* **Two engines.**  ``engine='batched'`` (the default) commits one
-  split at a time in strict heap order — so the refinement sequence,
-  leaf tiling, and certified bound are those of the serial search at
-  *any* ``jobs`` — while a speculation cache keeps the worker pool
-  saturated: the splits most likely to be committed next (the head of
-  the frontier, plus children of in-flight splits) are dispatched ahead
-  of time in adaptively-sized chunks, and results that the serial
-  commit order never asks for are simply dropped.  Workers analyze both
-  children of a split in one unit, sharing the parent's abstract prefix
-  (:meth:`~repro.verify.interval.IntervalTransfer.analyze_split`).
-  ``engine='reference'`` is the historical barriered engine — one box
-  per task through the interpretive transfer, ``jobs``-wide rounds —
-  kept as the oracle for identity tests and throughput baselines.
+* **One serial commit loop.**  The search runs in-process and commits
+  one split at a time in strict heap order: pop the worst box, split it,
+  and analyze both children in one
+  :meth:`~repro.verify.interval.IntervalTransfer.analyze_split` call
+  that shares the parent's abstract prefix.  Worker processes were
+  measured and removed: on the five libimf kernels 8 workers ran slower
+  than one, and 2 workers on a 2-vCPU host stayed within run-to-run
+  noise of one.
 * **Termination triad.**  A box budget, a wall-clock deadline, and a
   target gap (``bound <= lower + gap * max(lower, 1)``) — whichever
   fires first; an exhausted frontier (everything pruned or at point
@@ -48,7 +43,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.core.parallel import TaskCrash, TaskError, TaskPool, TaskTimeout
 from repro.core.runner import Location
 from repro.x86.memory import Memory
 from repro.x86.program import Program
@@ -60,21 +54,11 @@ from repro.verify.partition import (BitBox, Dim, covered_seed_count,
 
 _INF = math.inf
 
-# Dispatch shaping for the batched engine: cap the per-task chunk
-# ladder, bound the speculation cache, size the adaptive-chunk
-# observation window, and — when a window shows speculation isn't
-# being consumed (oversubscribed CPUs, inaccurate predictions) — pause
-# dispatch for this many commits before probing again.
-_MAX_CHUNK = 8
-_MAX_CACHE = 1024
-_MAX_SPEC_CHILDREN = 512
-_CHUNK_WINDOW = 32
-_SPEC_PAUSE = 1024
-
 
 @dataclass(frozen=True)
 class TransferSpec:
-    """Picklable recipe for building an IntervalTransfer in a worker."""
+    """Recipe for an IntervalTransfer: the programs and their environment
+    (certificates digest these fields)."""
 
     target: Program
     rewrite: Program
@@ -96,67 +80,19 @@ class TransferSpec:
             profile=self.profile)
 
 
-def _build_transfer(spec: TransferSpec) -> IntervalTransfer:
-    return spec.build()
-
-
-def _analyze_box(transfer: IntervalTransfer, bounds: Tuple[Tuple[int, int], ...]
-                 ) -> Tuple[float, Optional[Dict[str, float]],
-                            Tuple[int, int, int], Optional[str]]:
-    """Reference-engine job: bound one box through the interpretive
-    transfer; IntervalUnsupported -> +inf bound."""
-    from repro.verify.interval import IntervalUnsupported
-
-    try:
-        bound, per_loc, stats = transfer.analyze_interpretive(BitBox(bounds))
-    except IntervalUnsupported as exc:
-        return _INF, None, (1, 0, 0), str(exc)
-    return bound, per_loc, (stats.boxes, stats.concrete_bit_ops,
-                            stats.widened_bit_ops), None
-
-
-def _analyze_units(transfer: IntervalTransfer, units: Sequence[Tuple]
-                   ) -> List[Tuple]:
-    """Batched-engine job: a chunk of work units through the compiled
-    transfer.
-
-    Units are ``('box', bounds)`` or ``('split', bounds, dim, sharing)``;
-    each yields ``(value, elapsed_seconds, op_seconds)`` where ``value``
-    is one :data:`~repro.verify.interval.UnitResult` for a box and a
-    ``(left, right)`` pair of them for a split.
-    """
-    out: List[Tuple] = []
-    for unit in units:
-        t0 = time.perf_counter()
-        if unit[0] == "box":
-            res, op_secs = transfer.analyze_unit(BitBox(unit[1]))
-            out.append((res, time.perf_counter() - t0, op_secs))
-        else:
-            _, bounds, dim, sharing = unit
-            l_res, r_res, op_secs = transfer.analyze_split(
-                BitBox(bounds), dim, sharing=sharing)
-            out.append(((l_res, r_res), time.perf_counter() - t0, op_secs))
-    return out
-
-
 @dataclass(frozen=True)
 class BnBConfig:
-    """Search policy: termination triad, parallelism, seeding, engine."""
+    """Search policy: termination triad and counterexample seeds."""
 
     max_boxes: int = 256          # analyze-call budget
     deadline: Optional[float] = None   # wall-clock seconds
     target_gap: Optional[float] = None  # relative gap vs the lower bound
+    # The search runs in-process: run() accepts only 1.  Certificates
+    # record it as ``"jobs": 1``.
     jobs: int = 1
     # ((input values in range order), observed true error) pairs,
     # typically from seeds_from_validation().
     seeds: Tuple[Tuple[Tuple[float, ...], float], ...] = ()
-    # 'batched' = pipelined compiled engine (jobs-invariant partition);
-    # 'reference' = the historical barriered interpretive engine.
-    engine: str = "batched"
-    # Work units per task for the batched engine; 0 = adaptive ladder.
-    chunk: int = 0
-    # Share the parent's abstract prefix between split children.
-    prefix_sharing: bool = True
 
 
 @dataclass
@@ -176,7 +112,6 @@ class BnBResult:
     wall_time: float
     rounds: int = 0
     max_frontier: int = 0
-    jobs: int = 1
     seeds_covered: int = 0
     unsupported: int = 0
     # Certified per-live-out bound: for each location, the max over all
@@ -252,10 +187,7 @@ class BnBCheckpoint:
     strict ``(priority, bound, seq)`` heap order — and therefore the
     refinement order and final leaf partition — matches the
     uninterrupted run (wall-clock fields excepted).  Leaf boxes reuse
-    the certificate's inclusive bit-index range encoding.  The batched
-    engine's speculation cache is deliberately absent: cached results
-    are pure functions of their boxes, so a resumed run recomputes
-    them and still lands on the identical partition.
+    the certificate's inclusive bit-index range encoding.
     """
 
     seq: int
@@ -316,7 +248,7 @@ class BnBCheckpoint:
 
 
 class _SearchState:
-    """Counters and collections one search accumulates (both engines)."""
+    """Counters and collections one search accumulates."""
 
     __slots__ = ("seq", "explored", "pruned", "rounds", "max_frontier",
                  "complete", "unsupported", "frontier", "leaves")
@@ -357,7 +289,7 @@ class BnBVerifier:
             profile=profile,
             domain=domain,
         )
-        # A local transfer for dims/root bookkeeping (and the jobs=1 path).
+        # Every box of the search runs through this one transfer.
         self.transfer = self.spec.build()
         self.last_result: Optional[BnBResult] = None
 
@@ -378,6 +310,8 @@ class BnBVerifier:
             checkpoint_seconds: float = 0.0) -> BnBResult:
         """Refine until a termination condition fires.
 
+        Each round pops the worst frontier box, splits it along its
+        widest dimension, and absorbs the left then the right child.
         ``checkpoint_rounds`` > 0 calls ``on_checkpoint`` with an exact
         :class:`BnBCheckpoint` every that-many refinement rounds;
         ``checkpoint_seconds`` > 0 additionally rate-limits checkpoint
@@ -389,9 +323,11 @@ class BnBVerifier:
         bounds exactly (deadline termination is wall-clock and outside
         the identity).
         """
-        if config.engine not in ("batched", "reference"):
-            raise ValueError(f"unknown BnB engine {config.engine!r} "
-                             "(expected 'batched' or 'reference')")
+        if config.jobs != 1:
+            raise ValueError(
+                f"BnBConfig.jobs must be 1, got {config.jobs}: the search "
+                "runs in-process (worker processes measured no faster "
+                "than one and were removed)")
         if resume is not None and resume.domain != self.spec.domain:
             raise ValueError(
                 f"checkpoint domain {resume.domain!r} does not match "
@@ -399,25 +335,102 @@ class BnBVerifier:
         start = time.monotonic()
         seeds = self.seed_indices(config.seeds)
         lower = max([err for _, err in seeds], default=0.0)
-
-        task_fn = (_analyze_units if config.engine == "batched"
-                   else _analyze_box)
-        pool = TaskPool(_build_transfer, self.spec, task_fn,
-                        jobs=config.jobs)
-        # Inline path: reuse the already-built transfer (no recompile).
-        if pool.inline:
-            pool.set_context(self.transfer)
         stats = TransferStats()
-        search = (self._search_batched if config.engine == "batched"
-                  else self._search_reference)
-        try:
-            result = search(pool, config, seeds, lower, stats, start,
-                            resume=resume,
-                            checkpoint_rounds=checkpoint_rounds,
-                            on_checkpoint=on_checkpoint,
-                            checkpoint_seconds=checkpoint_seconds)
-        finally:
-            pool.close()
+        st = _SearchState()
+        frontier = st.frontier
+        gap = config.target_gap
+        # The gap test needs the max bound over every entry not yet
+        # split (frontier and leaves): a lazy max-heap of (-bound, seq)
+        # whose split seqs are dropped only when they surface.
+        unsplit: List[Tuple[float, int]] = []
+        split: Set[int] = set()
+
+        def track(entry: _Entry) -> None:
+            if gap is not None:
+                heapq.heappush(unsplit, (-entry.bound, entry.seq))
+
+        def push(entry: _Entry) -> None:
+            heapq.heappush(frontier, (entry.key(), entry))
+            track(entry)
+
+        def commit(children, elapsed: float,
+                   op_secs: Optional[Dict[str, float]]) -> None:
+            for result, box in children:
+                push(self._absorb(st, stats, result, box, seeds, lower))
+            stats.transfer_seconds += elapsed
+            for op, secs in (op_secs or {}).items():
+                stats.op_seconds[op] = stats.op_seconds.get(op, 0.0) + secs
+
+        if resume is not None:
+            self._restore(st, stats, resume)
+            for entry in resume.frontier:
+                push(entry)
+            for entry in st.leaves:
+                track(entry)
+        else:
+            root = self.transfer.root
+            t0 = time.perf_counter()
+            res, op_secs = self.transfer.analyze_unit(root)
+            commit([(res, root)], time.perf_counter() - t0, op_secs)
+
+        last_checkpoint = start
+        termination = "exhausted"
+        while frontier:
+            if (checkpoint_rounds and on_checkpoint is not None
+                    and st.rounds > 0
+                    and st.rounds % checkpoint_rounds == 0):
+                now = time.monotonic()
+                if checkpoint_seconds <= 0 or \
+                        now - last_checkpoint >= checkpoint_seconds:
+                    on_checkpoint(self._snapshot(st, stats))
+                    last_checkpoint = now
+            if st.explored >= config.max_boxes:
+                termination = "budget"
+                break
+            if config.deadline is not None and \
+                    time.monotonic() - start > config.deadline:
+                termination = "deadline"
+                break
+            if gap is not None:
+                while unsplit and unsplit[0][1] in split:
+                    split.discard(heapq.heappop(unsplit)[1])
+                current = max(-unsplit[0][0], 0.0) if unsplit else 0.0
+                if current <= lower + gap * max(lower, 1.0):
+                    termination = "gap"
+                    break
+
+            entry: Optional[_Entry] = None
+            while frontier:
+                _, popped = heapq.heappop(frontier)
+                if popped.bound <= lower and popped.priority < 2:
+                    # Refining cannot lower the global max below the
+                    # empirical lower bound: keep as a leaf.
+                    st.leaves.append(popped)
+                    st.pruned += 1
+                    continue
+                if not popped.box.splittable:
+                    if not math.isfinite(popped.bound):
+                        st.complete = False
+                    st.leaves.append(popped)
+                    continue
+                entry = popped
+                break
+            if entry is None:
+                break  # frontier drained into leaves
+            st.rounds += 1
+            if gap is not None:
+                split.add(entry.seq)
+
+            dim = entry.box.widest_dim()
+            t0 = time.perf_counter()
+            l_res, r_res, op_secs = self.transfer.analyze_split(entry.box,
+                                                                dim)
+            elapsed = time.perf_counter() - t0
+            left, right = entry.box.split(dim)
+            commit([(l_res, left), (r_res, right)], elapsed, op_secs)
+            st.max_frontier = max(st.max_frontier, len(frontier))
+
+        result = self._assemble(st, seeds, lower, stats, start, termination)
         self.last_result = result
         return result
 
@@ -447,7 +460,7 @@ class BnBVerifier:
         return entry
 
     def _restore(self, st: _SearchState, stats: TransferStats,
-                 resume: BnBCheckpoint, push) -> None:
+                 resume: BnBCheckpoint) -> None:
         st.seq = resume.seq
         st.explored = resume.explored
         st.pruned = resume.pruned
@@ -459,8 +472,6 @@ class BnBVerifier:
         stats.concrete_bit_ops += resume.stats_concrete
         stats.widened_bit_ops += resume.stats_widened
         st.leaves = list(resume.leaves)
-        for entry in resume.frontier:
-            push(entry)
 
     def _snapshot(self, st: _SearchState, stats: TransferStats
                   ) -> BnBCheckpoint:
@@ -476,8 +487,8 @@ class BnBVerifier:
             unsupported=st.unsupported,
             domain=self.spec.domain)
 
-    def _assemble(self, st: _SearchState, config: BnBConfig, seeds,
-                  lower: float, stats: TransferStats, start: float,
+    def _assemble(self, st: _SearchState, seeds, lower: float,
+                  stats: TransferStats, start: float,
                   termination: str) -> BnBResult:
         leaves = st.leaves
         leaves.extend(entry for _, entry in st.frontier)
@@ -522,329 +533,11 @@ class BnBVerifier:
             wall_time=time.monotonic() - start,
             rounds=st.rounds,
             max_frontier=st.max_frontier,
-            jobs=config.jobs,
             seeds_covered=covered,
             unsupported=st.unsupported,
             per_location_bounds=per_location_bounds,
             domain=self.spec.domain,
         )
-
-    # -- reference engine (historical barriered search) -----------------
-
-    def _search_reference(self, pool: TaskPool, config: BnBConfig, seeds,
-                          lower: float, stats: TransferStats,
-                          start: float,
-                          resume: Optional[BnBCheckpoint] = None,
-                          checkpoint_rounds: int = 0,
-                          on_checkpoint=None,
-                          checkpoint_seconds: float = 0.0) -> BnBResult:
-        root = self.transfer.root
-        st = _SearchState()
-        frontier = st.frontier
-
-        def push(entry: _Entry) -> None:
-            heapq.heappush(frontier, (entry.key(), entry))
-
-        if resume is not None:
-            self._restore(st, stats, resume, push)
-        else:
-            for result in pool.map([root.bounds]):
-                push(self._absorb(st, stats, result, root, seeds, lower))
-
-        last_checkpoint = start
-        termination = "exhausted"
-        while frontier:
-            if (checkpoint_rounds and on_checkpoint is not None
-                    and st.rounds > 0
-                    and st.rounds % checkpoint_rounds == 0):
-                now = time.monotonic()
-                if checkpoint_seconds <= 0 or \
-                        now - last_checkpoint >= checkpoint_seconds:
-                    on_checkpoint(self._snapshot(st, stats))
-                    last_checkpoint = now
-            if st.explored >= config.max_boxes:
-                termination = "budget"
-                break
-            if config.deadline is not None and \
-                    time.monotonic() - start > config.deadline:
-                termination = "deadline"
-                break
-            if config.target_gap is not None:
-                current = max(
-                    [e.bound for _, e in frontier] +
-                    [e.bound for e in st.leaves] + [0.0])
-                if current <= lower + config.target_gap * max(lower, 1.0):
-                    termination = "gap"
-                    break
-
-            batch: List[_Entry] = []
-            while frontier and len(batch) < max(config.jobs, 1):
-                _, entry = heapq.heappop(frontier)
-                if entry.bound <= lower and entry.priority < 2:
-                    # Refining cannot lower the global max below the
-                    # empirical lower bound: keep as a leaf.
-                    st.leaves.append(entry)
-                    st.pruned += 1
-                    continue
-                if not entry.box.splittable:
-                    if not math.isfinite(entry.bound):
-                        st.complete = False
-                    st.leaves.append(entry)
-                    continue
-                batch.append(entry)
-            if not batch:
-                break  # frontier drained into leaves
-            st.rounds += 1
-
-            children: List[BitBox] = []
-            for entry in batch:
-                left, right = entry.box.split(entry.box.widest_dim())
-                children.extend((left, right))
-            for result, child in zip(pool.map([c.bounds for c in children]),
-                                     children):
-                push(self._absorb(st, stats, result, child, seeds, lower))
-            st.max_frontier = max(st.max_frontier, len(frontier))
-
-        return self._assemble(st, config, seeds, lower, stats, start,
-                              termination)
-
-    # -- batched engine (pipelined, jobs-invariant) ----------------------
-
-    def _search_batched(self, pool: TaskPool, config: BnBConfig, seeds,
-                        lower: float, stats: TransferStats,
-                        start: float,
-                        resume: Optional[BnBCheckpoint] = None,
-                        checkpoint_rounds: int = 0,
-                        on_checkpoint=None,
-                        checkpoint_seconds: float = 0.0) -> BnBResult:
-        """Serial-commit search over speculatively dispatched chunks.
-
-        The commit loop is byte-for-byte the ``jobs=1`` refinement
-        order: pop the heap, split the worst box, absorb left then
-        right.  Parallelism comes entirely from *speculation*: the heap
-        head tells us which splits the commit loop will ask for next,
-        so those are shipped to the pool early, in chunks sized by a
-        hit-rate ladder.  A result is only ever *used* when the serial
-        order commits it, so the partition is independent of jobs,
-        chunking, timing, and speculation accuracy.
-        """
-        root = self.transfer.root
-        st = _SearchState()
-        frontier = st.frontier
-        sharing = bool(config.prefix_sharing)
-
-        cache: Dict[Tuple, Tuple] = {}      # unit key -> payload
-        inflight: Set[Tuple] = set()        # dispatched, not yet drained
-        spec_children: List[Tuple] = []     # future split keys (FIFO)
-        chunk = config.chunk if config.chunk > 0 else 1
-        adaptive = config.chunk <= 0
-        window_hits = 0
-        window_total = 0
-        spec_pause = 0
-
-        def push(entry: _Entry) -> None:
-            heapq.heappush(frontier, (entry.key(), entry))
-
-        def split_key(box: BitBox) -> Tuple:
-            return ("s", box.bounds, box.widest_dim())
-
-        def drain(block: bool) -> bool:
-            outcomes = pool.poll(timeout=60.0 if block else 0.0)
-            for outcome in outcomes:
-                if not outcome.ok:
-                    exc_type = {"timeout": TaskTimeout,
-                                "crash": TaskCrash}.get(outcome.kind,
-                                                        TaskError)
-                    raise exc_type(f"task {outcome.key}: {outcome.error}")
-                for key, payload in zip(outcome.key, outcome.value):
-                    inflight.discard(key)
-                    if key not in cache:
-                        cache[key] = payload
-            return bool(outcomes)
-
-        def dispatch(keys: List[Tuple]) -> None:
-            units = []
-            for key in keys:
-                if key[0] == "s":
-                    units.append(("split", key[1], key[2], sharing))
-                else:
-                    units.append(("box", key[1]))
-                inflight.add(key)
-            pool.submit(tuple(keys), units)
-            # A dispatched split's children are the next generation of
-            # likely commits — remember them as speculation candidates.
-            for key in keys:
-                if key[0] != "s" or len(spec_children) >= _MAX_SPEC_CHILDREN:
-                    continue
-                for child in BitBox(key[1]).split(key[2]):
-                    if child.splittable:
-                        spec_children.append(split_key(child))
-
-        def candidates(limit: int) -> List[Tuple]:
-            wanted: List[Tuple] = []
-            taken: Set[Tuple] = set()
-            for _, entry in heapq.nsmallest(limit * 2, frontier):
-                if entry.bound <= lower and entry.priority < 2:
-                    continue  # the commit loop will prune it
-                if not entry.box.splittable:
-                    continue
-                key = split_key(entry.box)
-                if key in cache or key in inflight or key in taken:
-                    continue
-                wanted.append(key)
-                taken.add(key)
-                if len(wanted) >= limit:
-                    return wanted
-            while len(wanted) < limit and spec_children:
-                key = spec_children.pop(0)
-                if key in cache or key in inflight or key in taken:
-                    continue
-                wanted.append(key)
-                taken.add(key)
-            return wanted
-
-        def top_up() -> None:
-            nonlocal spec_pause
-            if pool.inline:
-                return
-            drain(block=False)
-            if spec_pause > 0:
-                spec_pause -= 1
-                return
-            # One task per idle worker: dispatch lands immediately, so a
-            # demand miss never queues behind a wall of speculation.
-            budget = pool.idle_workers
-            if budget <= 0:
-                return
-            wanted = candidates(budget * max(chunk, 1))
-            while budget > 0 and wanted:
-                dispatch(wanted[:chunk])
-                wanted = wanted[chunk:]
-                budget -= 1
-
-        def merge_op_seconds(op_secs: Optional[Dict[str, float]]) -> None:
-            if not op_secs:
-                return
-            for op, secs in op_secs.items():
-                stats.op_seconds[op] = stats.op_seconds.get(op, 0.0) + secs
-
-        def obtain_split(box: BitBox):
-            nonlocal chunk, window_hits, window_total, spec_pause
-            dim = box.widest_dim()
-            if pool.inline:
-                t0 = time.perf_counter()
-                l_res, r_res, op_secs = self.transfer.analyze_split(
-                    box, dim, sharing=sharing)
-                return l_res, r_res, time.perf_counter() - t0, op_secs
-            key = ("s", box.bounds, dim)
-            if key not in cache:
-                drain(block=False)
-            if key in cache:
-                hit = True
-                value, elapsed, op_secs = cache.pop(key)
-            else:
-                # Speculation missed (or is still mid-flight): the
-                # leader computes the split on its own transfer instead
-                # of stalling behind the worker queue — worst case is
-                # the serial engine's throughput, not a round trip.
-                hit = False
-                t0 = time.perf_counter()
-                l_res, r_res, unit_secs = self.transfer.analyze_split(
-                    box, dim, sharing=sharing)
-                value = (l_res, r_res)
-                elapsed = time.perf_counter() - t0
-                op_secs = unit_secs
-            window_total += 1
-            window_hits += 1 if hit else 0
-            if adaptive and window_total >= _CHUNK_WINDOW:
-                ratio = window_hits / window_total
-                if ratio > 0.7:
-                    chunk = min(chunk * 2, _MAX_CHUNK)
-                elif ratio < 0.3:
-                    chunk = max(chunk // 2, 1)
-                if ratio < 0.1:
-                    # The leader is outrunning the pool (or predictions
-                    # are cold): stop feeding it for a while — the
-                    # inline-miss path alone is the serial engine.
-                    spec_pause = _SPEC_PAUSE
-                window_hits = window_total = 0
-            l_res, r_res = value
-            return l_res, r_res, elapsed, op_secs
-
-        if resume is not None:
-            self._restore(st, stats, resume, push)
-        else:
-            if pool.inline:
-                t0 = time.perf_counter()
-                res, op_secs = self.transfer.analyze_unit(root)
-                elapsed = time.perf_counter() - t0
-            else:
-                key = ("b", root.bounds)
-                dispatch([key])
-                while key not in cache:
-                    drain(block=True)
-                res, elapsed, op_secs = cache.pop(key)
-            push(self._absorb(st, stats, res, root, seeds, lower))
-            stats.transfer_seconds += elapsed
-            merge_op_seconds(op_secs)
-
-        last_checkpoint = start
-        termination = "exhausted"
-        while frontier:
-            if (checkpoint_rounds and on_checkpoint is not None
-                    and st.rounds > 0
-                    and st.rounds % checkpoint_rounds == 0):
-                now = time.monotonic()
-                if checkpoint_seconds <= 0 or \
-                        now - last_checkpoint >= checkpoint_seconds:
-                    on_checkpoint(self._snapshot(st, stats))
-                    last_checkpoint = now
-            if st.explored >= config.max_boxes:
-                termination = "budget"
-                break
-            if config.deadline is not None and \
-                    time.monotonic() - start > config.deadline:
-                termination = "deadline"
-                break
-            if config.target_gap is not None:
-                current = max(
-                    [e.bound for _, e in frontier] +
-                    [e.bound for e in st.leaves] + [0.0])
-                if current <= lower + config.target_gap * max(lower, 1.0):
-                    termination = "gap"
-                    break
-
-            entry: Optional[_Entry] = None
-            while frontier:
-                _, popped = heapq.heappop(frontier)
-                if popped.bound <= lower and popped.priority < 2:
-                    st.leaves.append(popped)
-                    st.pruned += 1
-                    continue
-                if not popped.box.splittable:
-                    if not math.isfinite(popped.bound):
-                        st.complete = False
-                    st.leaves.append(popped)
-                    continue
-                entry = popped
-                break
-            if entry is None:
-                break  # frontier drained into leaves
-            st.rounds += 1
-
-            l_res, r_res, elapsed, op_secs = obtain_split(entry.box)
-            left, right = entry.box.split(entry.box.widest_dim())
-            push(self._absorb(st, stats, l_res, left, seeds, lower))
-            push(self._absorb(st, stats, r_res, right, seeds, lower))
-            stats.transfer_seconds += elapsed
-            merge_op_seconds(op_secs)
-            st.max_frontier = max(st.max_frontier, len(frontier))
-            while len(cache) > _MAX_CACHE:
-                cache.pop(next(iter(cache)))
-            top_up()
-
-        return self._assemble(st, config, seeds, lower, stats, start,
-                              termination)
 
     def certificate(self, result: Optional[BnBResult] = None,
                     config: Optional[BnBConfig] = None):

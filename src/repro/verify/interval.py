@@ -1165,7 +1165,7 @@ def _interval_ulp_pair(loc: Location, a, b) -> float:
 # memory key plus ('x', xmm_index) per register.
 _MEM_KEY = "mem"
 
-# A unit result as shipped between engine and workers:
+# One analyzed box as the search consumes it:
 # (bound, per_loc_or_None, (boxes, concrete, widened), error_or_None).
 UnitResult = Tuple[float, Optional[Dict[str, float]],
                    Tuple[int, int, int], Optional[str]]
@@ -1198,9 +1198,9 @@ class IntervalTransfer:
     Construction compiles both programs once into per-instruction
     transfer closures (:mod:`repro.verify.compile`); analyzing a box is
     then a plain loop over prebound closures.  The original dispatching
-    interpreter survives as :meth:`analyze_interpretive` — the reference
-    engine and the differential tests run both paths and demand
-    identical bounds, stats, and error strings.
+    interpreter survives as :meth:`analyze_interpretive`, the oracle the
+    differential tests and ``benchmarks/bench_verify.py`` hold the
+    compiled path to: identical bounds, stats, and error strings.
     """
 
     def __init__(self, target: Program, rewrite: Program,
@@ -1284,28 +1284,25 @@ class IntervalTransfer:
 
     # -- compiled path -----------------------------------------------------
 
-    def analyze(self, box: BitBox) -> Tuple[float, Dict[str, float]]:
-        return self.analyze_values(box.value_box(self.dims))
-
-    def analyze_values(
-        self, value_box: Sequence[Tuple[float, float]]
-    ) -> Tuple[float, Dict[str, float]]:
-        """Sound (bound, per-live-out bounds) over a closed value box.
-
-        Accumulates into :attr:`stats` on success (the checker's
-        accounting contract).
-        """
-        t0 = time.perf_counter()
-        stats = TransferStats(boxes=1)
-        mem_inputs, reg_inputs = self._inputs_of(value_box)
+    def _run_pair(self, mem_inputs, reg_inputs, stats: TransferStats):
+        """Run both compiled programs over one box's inputs; returns the
+        (target, rewrite) final states."""
         states = []
         for plan in self._plans:
             state = self._fresh_state(mem_inputs, reg_inputs, stats)
             for fn in plan.steps:
                 fn(state)
             states.append(state)
-        total, per_loc = self._outputs(states[0], states[1],
-                                       (mem_inputs, reg_inputs))
+        return states[0], states[1]
+
+    def analyze(self, box: BitBox) -> Tuple[float, Dict[str, float]]:
+        """Sound (bound, per-live-out bounds) over one box.
+
+        Accumulates into :attr:`stats` on success (the checker's
+        accounting contract).
+        """
+        t0 = time.perf_counter()
+        total, per_loc, stats = self.analyze_with_stats(box)
         stats.op_counts = dict(self.op_histogram)
         stats.transfer_seconds = time.perf_counter() - t0
         self.stats.merge(stats)
@@ -1317,23 +1314,18 @@ class IntervalTransfer:
         """Compiled analysis with a private stats object (no merge)."""
         stats = TransferStats(boxes=1)
         mem_inputs, reg_inputs = self._inputs_of(box.value_box(self.dims))
-        states = []
-        for plan in self._plans:
-            state = self._fresh_state(mem_inputs, reg_inputs, stats)
-            for fn in plan.steps:
-                fn(state)
-            states.append(state)
-        total, per_loc = self._outputs(states[0], states[1],
+        t_state, r_state = self._run_pair(mem_inputs, reg_inputs, stats)
+        total, per_loc = self._outputs(t_state, r_state,
                                        (mem_inputs, reg_inputs))
         return total, per_loc, stats
 
     def analyze_interpretive(
         self, box: BitBox
     ) -> Tuple[float, Dict[str, float], TransferStats]:
-        """Reference path: the original per-instruction dispatcher.
+        """Oracle path: the original per-instruction dispatcher.
 
-        Faithful to the historical engine including its cost model: the
-        memory image is copied per program per box, as the original
+        Faithful to the original interpreter including its cost model:
+        the memory image is copied per program per box, as the original
         ``analyze`` did (states never mutate Memory — stores land in the
         ``mem_stores`` overlay — so the copies are semantically inert,
         and the compiled path drops them).
@@ -1350,7 +1342,7 @@ class IntervalTransfer:
                                        (mem_inputs, reg_inputs))
         return total, per_loc, stats
 
-    # -- engine work units -------------------------------------------------
+    # -- search work units -------------------------------------------------
 
     def analyze_unit(
         self, box: BitBox
@@ -1358,8 +1350,8 @@ class IntervalTransfer:
         """One box as a BnB work unit.
 
         Failure is data, not control flow: an unsupported program costs
-        exactly a ``(1, 0, 0)`` stats delta, matching the historical
-        engine (partial bit-op counts of a failed run are dropped).
+        exactly a ``(1, 0, 0)`` stats delta (partial bit-op counts of a
+        failed run are dropped).
         """
         try:
             total, per_loc, stats = self.analyze_with_stats(box)
@@ -1510,7 +1502,7 @@ def interval_ulp_bound(
 
     verifier = BnBVerifier(target, rewrite, live_outs, ranges,
                            memory=memory, concrete_gp=concrete_gp)
-    result = verifier.run(BnBConfig(max_boxes=max_boxes, jobs=1))
+    result = verifier.run(BnBConfig(max_boxes=max_boxes))
     if not result.complete and not math.isfinite(result.bound_ulps):
         # Legacy contract: an unanalyzable program raises rather than
         # returning a vacuous infinite bound.  (The BnB API itself

@@ -7,8 +7,7 @@ paired abstract state per box:
   leading instructions is executed *once* on the single paired state
   (a :class:`~repro.verify.interval._StateSnapshot` forks the two
   suffixes), with the prefix's bit-op accounting replayed so stats stay
-  bit-identical to the two-run semantics the batched and reference
-  engines pin against each other.
+  bit-identical to the two-run semantics of the interpretive oracle.
 * **Correlated live-outs** — both programs are also executed
   symbolically once at construction (extended fragment of
   :mod:`repro.verify.symbolic`); per box the paired expression DAGs are
@@ -25,7 +24,6 @@ separate bound.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Optional, Tuple
 
 from repro.verify.interval import (
@@ -118,16 +116,11 @@ class RelationalTransfer(IntervalTransfer):
     def _run_pair(self, mem_inputs, reg_inputs, stats: TransferStats):
         """Run both programs over one box, executing the shared
         instruction prefix once on the paired state."""
-        t_plan, r_plan = self._plans
         n = self.shared_prefix
-        t_state = self._fresh_state(mem_inputs, reg_inputs, stats)
         if n == 0:
-            for fn in t_plan.steps:
-                fn(t_state)
-            r_state = self._fresh_state(mem_inputs, reg_inputs, stats)
-            for fn in r_plan.steps:
-                fn(r_state)
-            return t_state, r_state
+            return super()._run_pair(mem_inputs, reg_inputs, stats)
+        t_plan, r_plan = self._plans
+        t_state = self._fresh_state(mem_inputs, reg_inputs, stats)
         c0 = stats.concrete_bit_ops
         w0 = stats.widened_bit_ops
         for fn in t_plan.steps[:n]:
@@ -145,26 +138,6 @@ class RelationalTransfer(IntervalTransfer):
         for fn in r_plan.steps[n:]:
             fn(r_state)
         return t_state, r_state
-
-    def analyze_values(self, value_box):
-        t0 = time.perf_counter()
-        stats = TransferStats(boxes=1)
-        mem_inputs, reg_inputs = self._inputs_of(value_box)
-        t_state, r_state = self._run_pair(mem_inputs, reg_inputs, stats)
-        total, per_loc = self._outputs(t_state, r_state,
-                                       (mem_inputs, reg_inputs))
-        stats.op_counts = dict(self.op_histogram)
-        stats.transfer_seconds = time.perf_counter() - t0
-        self.stats.merge(stats)
-        return total, per_loc
-
-    def analyze_with_stats(self, box):
-        stats = TransferStats(boxes=1)
-        mem_inputs, reg_inputs = self._inputs_of(box.value_box(self.dims))
-        t_state, r_state = self._run_pair(mem_inputs, reg_inputs, stats)
-        total, per_loc = self._outputs(t_state, r_state,
-                                       (mem_inputs, reg_inputs))
-        return total, per_loc, stats
 
     # -- relational output bounding ---------------------------------------
 

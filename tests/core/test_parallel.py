@@ -201,6 +201,16 @@ def _pool_task(context, item):
     raise AssertionError(f"unknown kind {kind}")
 
 
+def _drain(pool, count, timeout=60.0):
+    """Poll until ``count`` outcomes have arrived; returns them by key."""
+    got = {}
+    while len(got) < count:
+        drained = pool.poll(timeout=timeout)
+        assert drained or pool.in_flight, "pool lost track of a task"
+        got.update((outcome.key, outcome) for outcome in drained)
+    return got
+
+
 class TestTaskPool:
     def _pool(self, jobs=2, **kwargs):
         from repro.core.parallel import TaskPool
@@ -208,48 +218,55 @@ class TestTaskPool:
         return TaskPool(_pool_context, None, _pool_task, jobs=jobs,
                         **kwargs)
 
-    def test_map_inline(self):
+    def test_inline_submit_poll(self):
         with self._pool(jobs=1) as pool:
             assert pool.inline
-            assert pool.map([("square", i) for i in range(5)]) == \
-                [0, 1, 4, 9, 16]
-
-    def test_map_subprocess(self):
-        with self._pool(jobs=2) as pool:
-            assert not pool.inline
-            assert pool.map([("square", i) for i in range(8)]) == \
-                [i * i for i in range(8)]
+            for i in range(5):
+                pool.submit(i, ("square", i))
+            # Inline tasks run at submit time: one poll drains them all.
+            got = pool.poll()
+            assert {o.key: o.value for o in got} == \
+                {i: i * i for i in range(5)}
+            assert pool.in_flight == 0
 
     def test_task_error_propagates(self):
-        from repro.core.parallel import TaskError
-
-        with self._pool(jobs=2) as pool:
-            with pytest.raises(TaskError, match="bad item 3"):
-                pool.map([("square", 1), ("raise", 3), ("square", 2)])
+        for jobs in (1, 2):
+            with self._pool(jobs=jobs) as pool:
+                for key, item in enumerate([("square", 1), ("raise", 3),
+                                            ("square", 2)]):
+                    pool.submit(key, item)
+                got = _drain(pool, 3)
+                assert got[0].ok and got[0].value == 1
+                assert got[2].ok and got[2].value == 4
+                assert not got[1].ok and got[1].kind == "error"
+                assert "bad item 3" in got[1].error
 
     def test_worker_killed_mid_task_is_reported_and_pool_survives(self):
         # Regression test: a worker SIGKILLed mid-task must be detected,
         # its task reported as a crash, and the pool must keep serving.
         with self._pool(jobs=2) as pool:
-            outcomes = pool.run([("square", 1), ("die", 0), ("square", 2)])
-            by_key = {o.key: o for o in outcomes}
-            assert by_key[0].ok and by_key[0].value == 1
-            assert by_key[2].ok and by_key[2].value == 4
-            assert not by_key[1].ok
-            assert by_key[1].kind == "crash"
+            for key, item in enumerate([("square", 1), ("die", 0),
+                                        ("square", 2)]):
+                pool.submit(key, item)
+            got = _drain(pool, 3)
+            assert got[0].ok and got[0].value == 1
+            assert got[2].ok and got[2].value == 4
+            assert not got[1].ok
+            assert got[1].kind == "crash"
             # The pool respawned the dead worker and still works.
-            assert pool.map([("square", 6)]) == [36]
+            pool.submit("again", ("square", 6))
+            assert _drain(pool, 1)["again"].value == 36
 
     def test_per_task_timeout(self):
-        from repro.core.parallel import TaskTimeout
-
         with self._pool(jobs=2, task_timeout=0.5) as pool:
-            outcomes = pool.run([("sleep", 30.0), ("square", 3)])
-            by_key = {o.key: o for o in outcomes}
-            assert not by_key[0].ok and by_key[0].kind == "timeout"
-            assert by_key[1].ok and by_key[1].value == 9
-            with pytest.raises(TaskTimeout):
-                pool.map([("sleep", 30.0)])
+            pool.submit(0, ("sleep", 30.0))
+            pool.submit(1, ("square", 3))
+            got = _drain(pool, 2)
+            assert not got[0].ok and got[0].kind == "timeout"
+            assert got[1].ok and got[1].value == 9
+            # A per-submit timeout overrides the pool default.
+            pool.submit(2, ("sleep", 30.0), timeout=0.2)
+            assert _drain(pool, 1)[2].kind == "timeout"
 
     def test_streaming_submit_poll(self):
         with self._pool(jobs=2) as pool:

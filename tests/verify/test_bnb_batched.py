@@ -1,11 +1,13 @@
-"""Identity and determinism tests for the batched BnB engine.
+"""Identity and determinism tests for the branch-and-bound search.
 
-The batched engine's contract is stronger than soundness: for a fixed
+The search's contract is stronger than soundness: for a fixed
 :class:`BnBConfig` its refinement order, leaf tiling, certified bound,
-and certificate bytes are those of the serial search — independent of
-``jobs``, chunking, prefix sharing, speculation timing, and mid-run
-checkpoint/resume.  These tests pin each clause against the reference
-engine and against brute-force oracles.
+and certificate bytes are fixed — independent of prefix sharing, of
+the transfer implementation (compiled closures vs the interpretive
+oracle), and of mid-run checkpoint/resume.  These tests pin each
+clause against the interpretive oracle, against certificate digests
+recorded before the search was cut down to one in-process loop, and
+against brute-force oracles.
 """
 
 import hashlib
@@ -21,10 +23,34 @@ from repro.x86.testcase import TestCase
 from repro.core.serialize import canonical_json
 from repro.kernels.libimf import LIBIMF_KERNELS
 from repro.verify import exhaustive_check
-from repro.verify.bnb import BnBConfig, BnBVerifier
+from repro.verify.bnb import BnBCheckpoint, BnBConfig, BnBVerifier
 from repro.verify.partition import BitBox, covered_seed_count
 
+from tests.verify.conftest import interpretive_search, without_prefix_sharing
+
 REDUCED_DEGREE = {"sin": 9, "cos": 8, "tan": 9, "log": 12, "exp": 8}
+
+# Certificate digests (``_cert_digest``) recorded with the speculative
+# dispatcher and the reference engine still in place, which agreed on
+# every one of them.  Certificate bytes must never move.
+PINNED_CERTS = {
+    ("separate", "sin", 64):
+        "ec951cb2f07df30965252d919dff9a0b45b03b070e32e760b17704d730acaf8f",
+    ("separate", "log", 64):
+        "c1952d9a23924926b594ac508572abbac5ce0ab57c5350209b5de35e51cea0fa",
+    ("separate", "exp", 64):
+        "98e721ca9b0d04d356e99cc5db18941278da1a89f19a32b8f795bb40feec76be",
+    ("relational", "exp", 48):
+        "1ee9195066c7e12c5e290e2d4b52dc707b0d1ed775a471bcfed0468f9bdb5fab",
+    ("relational", "tan", 48):
+        "af02f9e35a5c0745be6c98b21c7b73a687182542569ab02a118bb372aa2476f9",
+    ("relational", "log", 48):
+        "754666acab61d5b5882ed4786ad0f25d16bb7c9f0ac02d8ffb78a999b436662a",
+}
+# A fabricated counterexample inside the poly range.
+POLY_SEEDS = (((1.25,), 2.0),)
+POLY_SEEDED_CERT = \
+    "814082dc41054ecafa604d48fe9854f788a06dcd32020126cfc41a188e45dd59"
 
 
 def _poly_pair():
@@ -45,12 +71,12 @@ def _poly_verifier():
     return BnBVerifier(target, rewrite, ["xmm0"], {"xmm0": (0.5, 2.0)})
 
 
-def _libimf_verifier(name):
+def _libimf_verifier(name, domain="separate"):
     factory = LIBIMF_KERNELS[name]
     spec = factory()
     rewrite = factory(REDUCED_DEGREE[name]).program
     return BnBVerifier(spec.program, rewrite, spec.live_outs,
-                       dict(spec.ranges))
+                       dict(spec.ranges), domain=domain)
 
 
 def _cert_digest(verifier, result, config):
@@ -67,62 +93,106 @@ def _partition(result):
 
 
 class TestEngineIdentity:
+    """The search over compiled transfers matches the same search over
+    the interpretive oracle, certificate byte for certificate byte."""
+
     @pytest.mark.parametrize("name", ["sin", "log"])
-    def test_batched_matches_reference_cert(self, name):
+    def test_batched_matches_reference_cert(self, name, monkeypatch):
         verifier = _libimf_verifier(name)
-        ref_cfg = BnBConfig(max_boxes=64, engine="reference")
-        bat_cfg = BnBConfig(max_boxes=64, engine="batched")
-        ref = verifier.run(ref_cfg)
-        bat = verifier.run(bat_cfg)
-        assert _partition(bat) == _partition(ref)
-        # Certificates must be byte-identical: engine choice is not a
-        # certified input, so the digests use the same config.
         cfg = BnBConfig(max_boxes=64)
-        assert _cert_digest(verifier, bat, cfg) == \
-            _cert_digest(verifier, ref, cfg)
+        compiled = verifier.run(cfg)
+        compiled_digest = _cert_digest(verifier, compiled, cfg)
+        interpretive_search(verifier, monkeypatch)
+        oracle = verifier.run(cfg)
+        assert _partition(compiled) == _partition(oracle)
+        assert compiled_digest == _cert_digest(verifier, oracle, cfg)
 
-    def test_batched_matches_reference_with_seeds(self):
+    def test_batched_matches_reference_with_seeds(self, monkeypatch):
         verifier = _poly_verifier()
-        seeds = ((  # a fabricated counterexample inside the range
-            (1.25,), 2.0),)
-        ref = verifier.run(BnBConfig(max_boxes=48, seeds=seeds,
-                                     engine="reference"))
-        bat = verifier.run(BnBConfig(max_boxes=48, seeds=seeds,
-                                     engine="batched"))
-        assert _partition(bat) == _partition(ref)
-        assert bat.seeds_covered == ref.seeds_covered
-        assert bat.boxes_pruned == ref.boxes_pruned
+        cfg = BnBConfig(max_boxes=48, seeds=POLY_SEEDS)
+        compiled = verifier.run(cfg)
+        interpretive_search(verifier, monkeypatch)
+        oracle = verifier.run(cfg)
+        assert _partition(compiled) == _partition(oracle)
+        assert compiled.seeds_covered == oracle.seeds_covered
+        assert compiled.boxes_pruned == oracle.boxes_pruned
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown BnB engine"):
-            _poly_verifier().run(BnBConfig(max_boxes=8, engine="turbo"))
+    def test_jobs_other_than_one_rejected(self):
+        with pytest.raises(ValueError, match="in-process"):
+            _poly_verifier().run(BnBConfig(max_boxes=8, jobs=2))
 
-
-class TestJobsInvariance:
-    @pytest.mark.parametrize("jobs", [2, 4])
-    def test_batched_partition_independent_of_jobs(self, jobs):
+    def test_certificates_record_one_job(self):
         verifier = _poly_verifier()
-        cfg1 = BnBConfig(max_boxes=48, jobs=1)
-        cfgN = BnBConfig(max_boxes=48, jobs=jobs)
-        serial = verifier.run(cfg1)
-        parallel = verifier.run(cfgN)
-        assert _partition(parallel) == _partition(serial)
-        assert parallel.boxes_explored == serial.boxes_explored
-        assert parallel.rounds == serial.rounds
+        cfg = BnBConfig(max_boxes=8)
+        doc = verifier.certificate(verifier.run(cfg), config=cfg).to_dict()
+        assert doc["config"]["jobs"] == 1
+        assert doc["stats"]["jobs"] == 1
 
-    def test_fixed_chunk_partition_identical(self):
+
+class TestPinnedCertificates:
+    @pytest.mark.parametrize("domain,name,budget", sorted(PINNED_CERTS))
+    def test_libimf_digest(self, domain, name, budget):
+        verifier = _libimf_verifier(name, domain=domain)
+        cfg = BnBConfig(max_boxes=budget)
+        result = verifier.run(cfg)
+        assert _cert_digest(verifier, result, cfg) == \
+            PINNED_CERTS[(domain, name, budget)]
+
+    def test_seeded_poly_digest(self):
         verifier = _poly_verifier()
-        adaptive = verifier.run(BnBConfig(max_boxes=48, jobs=2))
-        fixed = verifier.run(BnBConfig(max_boxes=48, jobs=2, chunk=4))
-        assert _partition(fixed) == _partition(adaptive)
+        cfg = BnBConfig(max_boxes=48, seeds=POLY_SEEDS)
+        result = verifier.run(cfg)
+        assert result.seeds_covered == 1
+        assert _cert_digest(verifier, result, cfg) == POLY_SEEDED_CERT
+
+
+class TestTargetGap:
+    """The gap test reads the max bound over every unsplit entry; these
+    runs were recorded when it rescanned frontier and leaves each
+    round."""
+
+    def test_gap_terminated_run_pinned(self):
+        verifier = _libimf_verifier("exp")
+        cfg = BnBConfig(max_boxes=16384, target_gap=1e13,
+                        seeds=(((1.0,), 3000.0),))
+        result = verifier.run(cfg)
+        assert result.termination == "gap"
+        assert result.rounds == 96
+        assert _cert_digest(verifier, result, cfg) == \
+            "ed55a2966f49e8af673a6140c4e6a5a514209805b4cfc53ef2286d5fae9c0821"
+
+    def test_pruned_leaves_hold_the_gap_open(self):
+        # Boxes below the 1e15 seed are pruned into leaves while an
+        # unsplittable leaf keeps the max near 1e16, so the gap never
+        # closes and the frontier runs dry.
+        verifier = _libimf_verifier("exp")
+        cfg = BnBConfig(max_boxes=4096, target_gap=0.5,
+                        seeds=(((1.0,), 1e15),))
+        result = verifier.run(cfg)
+        assert result.termination == "exhausted"
+        assert (result.rounds, result.boxes_pruned) == (1600, 1541)
+        assert _cert_digest(verifier, result, cfg) == \
+            "2ade1fd6b3a834d408504dd0639ffae5b6858628e3a13c9a8e4be542286e21ab"
+
+        # A resumed run must count the checkpoint's leaves too.
+        snapshots = []
+        verifier.run(cfg, checkpoint_rounds=400,
+                     on_checkpoint=snapshots.append)
+        mid = [s for s in snapshots if s.leaves][0]
+        resumed = verifier.run(cfg, resume=BnBCheckpoint.from_dict(
+            json.loads(json.dumps(mid.to_dict()))))
+        assert resumed.termination == "exhausted"
+        assert _cert_digest(verifier, resumed, cfg) == \
+            _cert_digest(verifier, result, cfg)
 
 
 class TestPrefixSharing:
     @pytest.mark.parametrize("name", ["sin", "exp"])
-    def test_sharing_invisible_in_partition(self, name):
+    def test_sharing_invisible_in_partition(self, name, monkeypatch):
         verifier = _libimf_verifier(name)
-        on = verifier.run(BnBConfig(max_boxes=64, prefix_sharing=True))
-        off = verifier.run(BnBConfig(max_boxes=64, prefix_sharing=False))
+        on = verifier.run(BnBConfig(max_boxes=64))
+        without_prefix_sharing(verifier, monkeypatch)
+        off = verifier.run(BnBConfig(max_boxes=64))
         assert _partition(on) == _partition(off)
         triple = lambda r: (r.stats.boxes, r.stats.concrete_bit_ops,
                             r.stats.widened_bit_ops)
@@ -169,14 +239,13 @@ class TestCoveredSeedCount:
 
 
 class TestCheckpointResume:
-    """Satellite: a mid-round interrupt/resume under the batched engine
-    reproduces the uninterrupted run bit-for-bit — bound, leaf tiling,
-    and certificate digest — at jobs=1 and jobs=4."""
+    """Satellite: a mid-round interrupt/resume reproduces the
+    uninterrupted run bit-for-bit — bound, leaf tiling, and certificate
+    digest."""
 
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_resume_bit_identical(self, jobs):
+    def test_resume_bit_identical(self):
         verifier = _poly_verifier()
-        config = BnBConfig(max_boxes=64, jobs=jobs)
+        config = BnBConfig(max_boxes=64)
         baseline = verifier.run(config)
 
         snapshots = []
@@ -187,7 +256,6 @@ class TestCheckpointResume:
         assert 0 < mid.rounds < baseline.rounds
 
         # Serialize through JSON: resume must survive the wire format.
-        from repro.verify.bnb import BnBCheckpoint
         restored = BnBCheckpoint.from_dict(
             json.loads(json.dumps(mid.to_dict())))
         resumed = verifier.run(config, resume=restored)
@@ -199,17 +267,19 @@ class TestCheckpointResume:
         assert _cert_digest(verifier, resumed, config) == \
             _cert_digest(verifier, baseline, config)
 
-    def test_resume_under_reference_engine_matches_batched(self):
-        # Checkpoints are engine-portable: a snapshot written by one
-        # engine resumes under the other to the identical partition.
+    def test_resume_under_reference_engine_matches_batched(self,
+                                                           monkeypatch):
+        # Checkpoints carry no transfer state: a snapshot written by the
+        # compiled search resumes under the interpretive oracle to the
+        # identical partition.
         verifier = _poly_verifier()
-        bat_cfg = BnBConfig(max_boxes=64, engine="batched")
-        ref_cfg = BnBConfig(max_boxes=64, engine="reference")
-        baseline = verifier.run(bat_cfg)
+        cfg = BnBConfig(max_boxes=64)
+        baseline = verifier.run(cfg)
         snapshots = []
-        verifier.run(bat_cfg, checkpoint_rounds=5,
+        verifier.run(cfg, checkpoint_rounds=5,
                      on_checkpoint=snapshots.append)
-        resumed = verifier.run(ref_cfg, resume=snapshots[0])
+        interpretive_search(verifier, monkeypatch)
+        resumed = verifier.run(cfg, resume=snapshots[0])
         assert _partition(resumed) == _partition(baseline)
 
 

@@ -243,14 +243,3 @@ class TestTermination:
         assert result.termination == "gap"
         assert result.gap <= 1_000.0
         assert result.lower_bound >= validation.max_err
-
-    def test_parallel_matches_serial_soundness(self):
-        target, rewrite = _poly_pair()
-        ranges = {"xmm0": (0.5, 2.0)}
-        verifier = BnBVerifier(target, rewrite, ["xmm0"], ranges)
-        serial = verifier.run(BnBConfig(max_boxes=48, jobs=1))
-        parallel = verifier.run(BnBConfig(max_boxes=48, jobs=2))
-        exact = exhaustive_check(target, rewrite, ["xmm0"], ranges,
-                                 lambda: TestCase({}), bits_per_input=8)
-        assert exact.max_ulps <= serial.bound_ulps
-        assert exact.max_ulps <= parallel.bound_ulps

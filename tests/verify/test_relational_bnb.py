@@ -1,12 +1,12 @@
 """Relational-domain BnB integration: checkpoints, certificates, and
 forged-document rejection.
 
-The relational domain plugs into the batched BnB engine, so every
-engine-level identity — jobs-invariance, checkpoint/resume
-bit-identity, engine-portable snapshots — must hold unchanged with
-``domain='relational'``; and its certificates must round-trip through
-the independent checker, which re-derives each leaf in the same
-domain and rejects tampered or forged documents.
+The relational domain plugs into the one BnB search, so every
+search-level identity — checkpoint/resume bit-identity, agreement with
+the interpretive oracle, invisible prefix sharing — must hold
+unchanged with ``domain='relational'``; and its certificates must
+round-trip through the independent checker, which re-derives each leaf
+in the same domain and rejects tampered or forged documents.
 """
 
 import dataclasses
@@ -22,6 +22,8 @@ from repro.kernels.libimf import LIBIMF_KERNELS
 from repro.verify import checker
 from repro.verify.bnb import BnBCheckpoint, BnBConfig, BnBVerifier
 from repro.verify.certificate import Certificate
+
+from tests.verify.conftest import interpretive_search, without_prefix_sharing
 
 REDUCED_DEGREE = {"sin": 9, "cos": 8, "tan": 9, "log": 12, "exp": 8}
 
@@ -66,12 +68,11 @@ def _cert_digest(verifier, result, config):
 
 class TestRelationalCheckpointResume:
     """Satellite: interrupt/resume under the relational domain is
-    bit-identical to the uninterrupted run at jobs=1 and jobs=4."""
+    bit-identical to the uninterrupted run."""
 
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_resume_bit_identical(self, jobs):
+    def test_resume_bit_identical(self):
         verifier = _poly_verifier()
-        config = BnBConfig(max_boxes=64, jobs=jobs)
+        config = BnBConfig(max_boxes=64)
         baseline = verifier.run(config)
 
         snapshots = []
@@ -93,17 +94,17 @@ class TestRelationalCheckpointResume:
         assert _cert_digest(verifier, resumed, config) == \
             _cert_digest(verifier, baseline, config)
 
-    def test_checkpoints_engine_portable(self):
-        # A relational snapshot written by the batched engine resumes
-        # under the reference engine to the identical partition.
+    def test_checkpoints_engine_portable(self, monkeypatch):
+        # A relational snapshot written by the compiled search resumes
+        # under the interpretive oracle to the identical partition.
         verifier = _poly_verifier()
-        bat_cfg = BnBConfig(max_boxes=64, engine="batched")
-        ref_cfg = BnBConfig(max_boxes=64, engine="reference")
-        baseline = verifier.run(bat_cfg)
+        cfg = BnBConfig(max_boxes=64)
+        baseline = verifier.run(cfg)
         snapshots = []
-        verifier.run(bat_cfg, checkpoint_rounds=5,
+        verifier.run(cfg, checkpoint_rounds=5,
                      on_checkpoint=snapshots.append)
-        resumed = verifier.run(ref_cfg, resume=snapshots[0])
+        interpretive_search(verifier, monkeypatch)
+        resumed = verifier.run(cfg, resume=snapshots[0])
         assert _partition(resumed) == _partition(baseline)
 
     def test_domain_mismatch_rejected(self):
@@ -133,29 +134,26 @@ class TestRelationalCheckpointResume:
 
 class TestRelationalEngineIdentity:
     @pytest.mark.parametrize("name", ["exp", "tan"])
-    def test_batched_matches_reference(self, name):
+    def test_batched_matches_reference(self, name, monkeypatch):
+        # The relational search over compiled transfers (with the
+        # shared-prefix collapse) matches the interpretive oracle.
         verifier = _libimf_verifier(name)
-        ref = verifier.run(BnBConfig(max_boxes=48, engine="reference"))
-        bat = verifier.run(BnBConfig(max_boxes=48, engine="batched"))
-        assert _partition(bat) == _partition(ref)
         cfg = BnBConfig(max_boxes=48)
-        assert _cert_digest(verifier, bat, cfg) == \
-            _cert_digest(verifier, ref, cfg)
-
-    @pytest.mark.parametrize("jobs", [2, 4])
-    def test_jobs_invariance(self, jobs):
-        verifier = _poly_verifier()
-        serial = verifier.run(BnBConfig(max_boxes=48, jobs=1))
-        parallel = verifier.run(BnBConfig(max_boxes=48, jobs=jobs))
-        assert _partition(parallel) == _partition(serial)
+        compiled = verifier.run(cfg)
+        compiled_digest = _cert_digest(verifier, compiled, cfg)
+        interpretive_search(verifier, monkeypatch)
+        oracle = verifier.run(cfg)
+        assert _partition(compiled) == _partition(oracle)
+        assert compiled_digest == _cert_digest(verifier, oracle, cfg)
 
     @pytest.mark.parametrize("name", ["exp", "log"])
-    def test_prefix_sharing_invisible(self, name):
+    def test_prefix_sharing_invisible(self, name, monkeypatch):
         # exp/log have long literal shared prefixes, so the collapsed
         # paired-state path is actually exercised here.
         verifier = _libimf_verifier(name)
-        on = verifier.run(BnBConfig(max_boxes=48, prefix_sharing=True))
-        off = verifier.run(BnBConfig(max_boxes=48, prefix_sharing=False))
+        on = verifier.run(BnBConfig(max_boxes=48))
+        without_prefix_sharing(verifier, monkeypatch)
+        off = verifier.run(BnBConfig(max_boxes=48))
         assert _partition(on) == _partition(off)
         triple = lambda r: (r.stats.boxes, r.stats.concrete_bit_ops,
                             r.stats.widened_bit_ops)

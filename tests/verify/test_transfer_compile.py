@@ -6,7 +6,7 @@ identical bounds, per-live-out maps, stats accounting, and error
 strings, on every shipped kernel and on random subdivisions of each
 verification domain.  Prefix sharing (:meth:`IntervalTransfer.
 analyze_split`) must likewise be invisible in results — it may only
-save time.
+save time.  Both hold in the separate and the relational domain.
 """
 
 import math
@@ -21,6 +21,7 @@ from repro.kernels.aek import vector as V
 from repro.kernels.libimf import LIBIMF_KERNELS
 from repro.verify.compile import MEM_KEY, compile_transfer
 from repro.verify.interval import IntervalTransfer, IntervalUnsupported
+from repro.verify.relational.domain import RelationalTransfer
 
 REDUCED_DEGREE = {"sin": 9, "cos": 8, "tan": 9, "log": 12, "exp": 8}
 
@@ -38,22 +39,20 @@ def _poly_pair():
     return target, rewrite
 
 
-def _libimf_transfer(name):
+def _libimf_transfer(name, cls=IntervalTransfer):
     factory = LIBIMF_KERNELS[name]
     spec = factory()
     rewrite = factory(REDUCED_DEGREE[name]).program
-    return IntervalTransfer(spec.program, rewrite, spec.live_outs,
-                            dict(spec.ranges))
+    return cls(spec.program, rewrite, spec.live_outs, dict(spec.ranges))
 
 
-def _delta_transfer():
+def _delta_transfer(cls=IntervalTransfer):
     spec = V.delta_kernel()
     ranges = dict(spec.ranges)
     ranges.update(V.delta_mem_ranges())
-    return IntervalTransfer(spec.program, V.delta_rewrite(),
-                            spec.live_outs, ranges,
-                            memory=Memory(V.aek_segments()),
-                            concrete_gp=V.CONCRETE_GP_INDICES)
+    return cls(spec.program, V.delta_rewrite(), spec.live_outs, ranges,
+               memory=Memory(V.aek_segments()),
+               concrete_gp=V.CONCRETE_GP_INDICES)
 
 
 def _sample_boxes(transfer, rng, count=24):
@@ -79,9 +78,11 @@ def _stats_triple(stats):
 
 
 class TestCompiledMatchesInterpretive:
+    cls = IntervalTransfer
+
     @pytest.mark.parametrize("name", sorted(LIBIMF_KERNELS))
     def test_libimf_differential(self, name):
-        transfer = _libimf_transfer(name)
+        transfer = _libimf_transfer(name, self.cls)
         rng = random.Random(hash(name) & 0xFFFF)
         for box in _sample_boxes(transfer, rng):
             total_c, per_c, stats_c = transfer.analyze_with_stats(box)
@@ -92,7 +93,7 @@ class TestCompiledMatchesInterpretive:
 
     def test_delta_differential(self):
         # Memory-backed dims, concrete GP state, and MemLoc live-outs.
-        transfer = _delta_transfer()
+        transfer = _delta_transfer(self.cls)
         rng = random.Random(7)
         for box in _sample_boxes(transfer, rng, count=16):
             total_c, per_c, stats_c = transfer.analyze_with_stats(box)
@@ -103,14 +104,21 @@ class TestCompiledMatchesInterpretive:
 
     def test_poly_differential(self):
         target, rewrite = _poly_pair()
-        transfer = IntervalTransfer(target, rewrite, ["xmm0"],
-                                    {"xmm0": (0.5, 2.0)})
+        transfer = self.cls(target, rewrite, ["xmm0"], {"xmm0": (0.5, 2.0)})
         rng = random.Random(0)
         for box in _sample_boxes(transfer, rng):
             total_c, per_c, _ = transfer.analyze_with_stats(box)
             total_i, per_i, _ = transfer.analyze_interpretive(box)
             assert total_c == total_i
             assert per_c == per_i
+
+
+class TestRelationalCompiledMatchesInterpretive(
+        TestCompiledMatchesInterpretive):
+    """The shared-prefix collapse and the paired-DAG windows leave the
+    compiled relational path equal to the interpretive one."""
+
+    cls = RelationalTransfer
 
 
 class TestFirstTouch:
@@ -142,11 +150,15 @@ class TestFirstTouch:
 
 
 class TestSplitSharing:
-    @pytest.mark.parametrize("name", ["sin", "log"])
+    cls = IntervalTransfer
+
+    # exp and log share 11 and 22 leading instructions between target
+    # and rewrite, which the relational transfer runs once.
+    @pytest.mark.parametrize("name", ["sin", "log", "exp"])
     def test_sharing_identical_to_scratch(self, name):
         """Walking down left children, prefix sharing never changes the
         (bound, per_loc, stats delta, error) of either child."""
-        transfer = _libimf_transfer(name)
+        transfer = _libimf_transfer(name, self.cls)
         box = transfer.root
         for _ in range(12):
             if not box.splittable:
@@ -159,7 +171,7 @@ class TestSplitSharing:
             box = box.split(dim)[0]
 
     def test_delta_sharing_identical(self):
-        transfer = _delta_transfer()
+        transfer = _delta_transfer(self.cls)
         box = transfer.root
         for _ in range(8):
             if not box.splittable:
@@ -170,6 +182,10 @@ class TestSplitSharing:
             assert shared[0] == scratch[0]
             assert shared[1] == scratch[1]
             box = box.split(dim)[1]  # right children this time
+
+
+class TestRelationalSplitSharing(TestSplitSharing):
+    cls = RelationalTransfer
 
 
 class TestProfile:
