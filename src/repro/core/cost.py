@@ -30,11 +30,15 @@ from repro.fp.ulp import ulp_distance_bits
 from repro.x86.checkpoint import (Checkpoint, PrefixKey, checkpoint_stride,
                                   flags_live_in, program_writes,
                                   union_writes)
-from repro.x86.jit import compile_program
+# compile_program is not called here: edit-aware evaluation runs
+# proposals as bound steps.  The name stays importable because the
+# end-to-end benchmark's traced runs wrap repro.core.cost.compile_program
+# (and bound_steps) to attribute JIT compiles and step binding.
+from repro.x86.jit import compile_program  # noqa: F401
 from repro.x86.locations import Loc, MemLoc
 from repro.x86.program import Program
-from repro.x86.signals import SignalError
-from repro.x86.stepper import bound_steps
+from repro.x86.signals import Signal, SignalError
+from repro.x86.stepper import ZERO_FLAGS, bound_steps
 from repro.x86.testcase import TestCase
 
 from repro.core.perf import LatencyPerf
@@ -106,12 +110,30 @@ def location_ulp_distance(loc: Location, bits_a: int, bits_b: int) -> float:
     return float(bin(bits_a ^ bits_b).count("1"))
 
 
+def _steps_of(slots, start: int, stop: Optional[int] = None) -> tuple:
+    """Bound steps for ``slots[start:stop]``.  A run from slot 0 first
+    clears the status flags, as the JIT prologue does."""
+    steps = bound_steps(slots[start:stop])
+    return (ZERO_FLAGS,) + steps if start == 0 else steps
+
+
+def _run_steps(steps: tuple, state) -> Optional[Signal]:
+    """Run bound steps on one state; the signal raised, or None."""
+    try:
+        for fn, operands in steps:
+            fn(state, operands)
+    except SignalError as exc:
+        return exc.signal
+    return None
+
+
 class _IncPlan:
     """Per-evaluation context of one incremental cost evaluation.
 
     Built once per proposal from its edit span; holds the resume
-    boundary, the content-addressed prefix key, the fallback capture
-    bases, and backend-bound segment/suffix executors.
+    boundary, the content-addressed prefix key (None for a boundary-0
+    plan, which has no prefix to restore), the fallback capture bases,
+    and backend-bound segment/suffix executors.
     """
 
     __slots__ = ("slots", "boundary", "prefix_key", "bases", "writes_at_b",
@@ -172,6 +194,7 @@ class CostFunction:
         self.incremental_hits = 0
         self.incremental_fallbacks = 0
         self.incremental_captures = 0
+        self._prefix_writes: Dict[PrefixKey, tuple] = {}
         # Adaptive-ordering stability window: identities of recently
         # promoted tests.  A promotion of a test already in this window
         # that sits within the window of the front is skipped — the
@@ -330,69 +353,80 @@ class CostFunction:
                           edit_index: int) -> Optional[_IncPlan]:
         """Resolve an edit span into an incremental evaluation plan.
 
-        Returns None (full evaluation) when any fallback condition
-        holds: the program is too short for checkpoints, the edit is at
-        index 0, the flags-liveness rule pushes the boundary to 0, or
-        the test set contains duplicated test objects.
+        The plan resumes from the largest flags-safe checkpoint boundary
+        at or below the edit.  When there is none (the program is too
+        short for checkpoints, the edit is in the first stride, or the
+        flags-liveness rule pushes the boundary to 0), the jit backend
+        still gets a plan: boundary 0, no prefix key, no capture.  The
+        other backends return None (full evaluation) then, and every
+        backend does when the test set contains duplicated test objects.
         """
         if self._has_dup_tests:
             return None
+        jit = self.runner.backend == "jit"
         slots = rewrite.slots
         n = len(slots)
         stride = checkpoint_stride(n)
-        if stride <= 0 or edit_index <= 0:
-            return None
-        boundary = (min(edit_index, n - 1) // stride) * stride
-        if boundary <= 0:
-            return None
-        flags = flags_live_in(rewrite)
-        while boundary > 0 and flags[boundary]:
-            boundary -= stride
-        if boundary <= 0:
+        boundary = 0
+        if stride > 0 and edit_index > 0:
+            boundary = (min(edit_index, n - 1) // stride) * stride
+        if boundary > 0:
+            flags = flags_live_in(rewrite)
+            while boundary > 0 and flags[boundary]:
+                boundary -= stride
+        if boundary <= 0 and not jit:
             return None
         plan = _IncPlan()
         plan.slots = slots
         plan.boundary = boundary
-        plan.prefix_key = PrefixKey(slots[:boundary])
-        # Warm capture bases: lower flags-safe boundaries a missing
-        # checkpoint can be built from instead of replaying the whole
-        # prefix (descending, nearest first).
-        plan.bases = tuple(b for b in range(boundary - stride, 0, -stride)
-                           if not flags[b])
-        if self.runner.backend == "jit":
-            # The rewrite is never compiled on this path.  Its suffix
-            # contains the edit, so it is a never-before-seen program on
-            # almost every proposal and a JIT compile (~400us) can never
-            # amortize — interpreting the suffix via bound steps
-            # (~1us/instruction) is an order of magnitude cheaper.  The
-            # interpreter semantics are bit-identical to the JIT's
-            # (tests/x86/test_differential.py is the load-bearing
-            # contract; tests/x86/test_stepper.py pins bound steps to
-            # it), and the flags-safe boundary guarantees the suffix
-            # never reads status flags, the one state component the
-            # interpreter touches that the pooled-state promise below
-            # does not cover (the JIT itself neither reads nor writes
-            # ``state.flags``).  Prefix segments ARE shared with the
-            # current program across proposals, so cold-checkpoint
-            # captures still run compiled code out of the global cache.
-            plan.writes_at_b = compile_program(Program(plan.prefix_key)).writes
-            plan.promise = union_writes(
-                plan.writes_at_b, program_writes(rewrite, boundary))
-            steps = bound_steps(slots[boundary:])
+        if boundary > 0:
+            plan.prefix_key = PrefixKey(slots[:boundary])
+            # Warm capture bases: lower flags-safe boundaries a missing
+            # checkpoint can be built from instead of replaying the
+            # whole prefix (descending, nearest first).
+            plan.bases = tuple(b for b in range(boundary - stride, 0, -stride)
+                               if not flags[b])
+        else:
+            plan.prefix_key = None
+            plan.bases = ()
+        if jit:
+            # Nothing is compiled here: a proposal is a never-before-
+            # seen program evaluated once, so a JIT compile (~1ms) could
+            # never amortize, while a bound step costs well under 1us.
+            # Suffixes, capture segments and boundary-0 runs all execute
+            # as bound steps, whose semantics are bit-identical to the
+            # JIT's (tests/x86/test_differential.py is the contract;
+            # tests/x86/test_stepper.py pins bound steps to it).  Status
+            # flags are the one state component steps touch that the
+            # pooled-state promise does not reset: a resumed run never
+            # reads them before writing them (the boundary is
+            # flags-safe), and a run from slot 0 first clears them, as
+            # the JIT prologue does.  The liveness-based write sets are
+            # supersets of the JIT's exact ones, which is safe for
+            # snapshot and apply.
+            if boundary > 0:
+                plan.writes_at_b = self._prefix_writes_of(rewrite,
+                                                          plan.prefix_key)
+                plan.promise = union_writes(
+                    plan.writes_at_b, program_writes(rewrite, boundary))
+            else:
+                plan.writes_at_b = None  # no prefix, nothing to capture
+                plan.promise = program_writes(rewrite)
+            steps = _steps_of(slots, boundary)
+            segments: Dict[int, tuple] = {}
 
-            def run_suffix(states, _steps=steps):
-                signals = [None] * len(states)
-                for i, state in enumerate(states):
-                    try:
-                        for fn, operands in _steps:
-                            fn(state, operands)
-                    except SignalError as exc:
-                        signals[i] = exc.signal
-                return signals
+            def run_suffix(states):
+                return [_run_steps(steps, state) for state in states]
+
+            def run_segment(state, base):
+                segment = segments.get(base)
+                if segment is None:
+                    segment = segments[base] = _steps_of(slots, base,
+                                                         boundary)
+                return _run_steps(segment, state)
 
             plan.run_suffix = run_suffix
-            plan.run_segment = lambda state, base: compile_program(
-                Program(slots[base:boundary])).run(state).signal
+            plan.run_segment = run_segment
         elif self.runner._compiled:
             # Vector (or any future compiled backend with cheap
             # preparation): the prepared object exposes the same
@@ -420,6 +454,21 @@ class CostFunction:
             plan.run_segment = lambda state, base: emulator.run_from(
                 rewrite, state, base, boundary).signal
         return plan
+
+    # Prefix write sets memoized across proposals: proposals from one
+    # current program share their prefixes, so only the suffix's write
+    # set is computed per proposal.  Dropped wholesale when full.
+    _PREFIX_WRITES_CAP = 4096
+
+    def _prefix_writes_of(self, rewrite: Program, key: PrefixKey) -> tuple:
+        """``program_writes`` of the ``key`` prefix of ``rewrite``."""
+        writes = self._prefix_writes.get(key)
+        if writes is None:
+            if len(self._prefix_writes) >= self._PREFIX_WRITES_CAP:
+                self._prefix_writes.clear()
+            writes = self._prefix_writes[key] = program_writes(
+                rewrite, 0, len(key))
+        return writes
 
     def _ensure_checkpoint(self, test: TestCase, plan: _IncPlan):
         """The test's checkpoint at the plan boundary, capturing it on
@@ -469,12 +518,15 @@ class CostFunction:
         Per test: fault sentinels short-circuit to the prefix's signal,
         warm checkpoints are applied onto the pooled state and only the
         suffix executes, cold checkpoints are captured on demand (the
-        capture run doubles as the prefix execution).
+        capture run doubles as the prefix execution).  A boundary-0
+        plan has no prefix: its "suffix" is the whole program, run on
+        the pooled state.
         """
         tests = self.tests
         values_of = self.runner.values_of
         run_suffix = plan.run_suffix
         promise = plan.promise
+        resumes = plan.prefix_key is not None
 
         def run_chunk(index: int, end: int):
             chunk_tests = tests[index:end]
@@ -482,15 +534,18 @@ class CostFunction:
             states = []
             positions = []
             for pos, test in enumerate(chunk_tests):
-                cp, live = self._ensure_checkpoint(test, plan)
-                if cp.signal is not None:
-                    out[pos] = (None, cp.signal)
-                    continue
-                if live is None:
+                if not resumes:
                     state = test.pooled_state(promise)
-                    cp.apply(state)
                 else:
-                    state = live
+                    cp, live = self._ensure_checkpoint(test, plan)
+                    if cp.signal is not None:
+                        out[pos] = (None, cp.signal)
+                        continue
+                    if live is None:
+                        state = test.pooled_state(promise)
+                        cp.apply(state)
+                    else:
+                        state = live
                 states.append(state)
                 positions.append(pos)
             if states:
@@ -515,7 +570,9 @@ class CostFunction:
             test.prune_checkpoints(slots)
 
     def incremental_stats(self) -> Dict[str, int]:
-        """Hit/fallback/capture counters of the incremental path."""
+        """Counters of the incremental path: evaluations resumed from a
+        checkpoint (hits), evaluations from boundary 0 or by full
+        evaluation (fallbacks), and checkpoint captures."""
         return {
             "hits": self.incremental_hits,
             "fallbacks": self.incremental_fallbacks,
@@ -537,7 +594,8 @@ class CostFunction:
         ``edit_index``: the proposal's edit span (lowest changed slot
         index) relative to the chain's current program.  When given, the
         evaluator resumes from a checkpointed prefix state and
-        re-executes only ``[boundary, end)`` per test; results are
+        re-executes only ``[boundary, end)`` per test (on the jit
+        backend as bound steps, compiling nothing); results are
         bit-identical to full evaluation, so this is purely a fast path
         (with the fallbacks listed in :meth:`_incremental_plan`).
         """
@@ -552,7 +610,7 @@ class CostFunction:
         plan = None
         if edit_index is not None:
             plan = self._incremental_plan(rewrite, edit_index)
-            if plan is None:
+            if plan is None or plan.prefix_key is None:
                 self.incremental_fallbacks += 1
             else:
                 self.incremental_hits += 1

@@ -21,10 +21,11 @@ class SearchStats:
     # JIT compile-cache hit/miss/eviction deltas attributable to this
     # chain (empty when the search ran on the emulator backend).
     jit_cache: dict = field(default_factory=dict)
-    # Incremental-evaluator telemetry: proposals that took the
-    # checkpointed-suffix path (hits), proposals with an edit hint that
-    # fell back to full evaluation (fallbacks), on-demand checkpoint
-    # captures, and the global checkpoint store's byte occupancy.
+    # Incremental-evaluator telemetry: proposals that resumed from a
+    # checkpointed prefix (hits), proposals with an edit hint and no
+    # usable boundary, run from slot 0 or by full evaluation
+    # (fallbacks), on-demand checkpoint captures, and the global
+    # checkpoint store's byte occupancy.
     incremental: dict = field(default_factory=dict)
     # DCE memoization hit/miss deltas (Stoke._dce).
     dce_cache: dict = field(default_factory=dict)

@@ -5,25 +5,38 @@ per instruction per state) and the JIT (whole-program compile): each
 instruction is bound once to a closure with its operand decode already
 resolved, and the closure is cached by instruction content.
 
-The incremental cost evaluator interprets every proposal's suffix — a
-never-before-seen program whose JIT compile (~400us) could never
-amortize over a handful of test executions — so the per-instruction
-dispatch cost is the knob that sets proposal throughput.  Hoisting the
-``isinstance`` operand dispatch out of the execution loop roughly halves
-it for the register-to-register moves and scalar-double arithmetic that
-dominate the libimf kernels.
+Edit-aware cost evaluation on the jit backend runs every search
+proposal through bound steps and never through the JIT compiler: the
+suffix after a checkpoint, the capture segment that builds a missing
+checkpoint, and, for an edit with no usable checkpoint boundary, the
+whole program from slot 0.  A proposal is a never-before-seen program
+evaluated once over a handful of tests, so its compile (~1ms) could
+never amortize, and the per-instruction dispatch cost is the knob that
+sets proposal throughput.  Hoisting the ``isinstance`` operand dispatch
+out of the execution loop roughly halves it for the register-to-register
+moves and scalar-double arithmetic that dominate the libimf kernels;
+the ``addsd``/``subsd``/``mulsd`` register forms also inline the
+bits<->double struct conversions of their scalar helpers, as the JIT's
+code generator does.
 
 Only the hottest, simplest shapes are specialized; every other
 instruction falls back to its opcode's generic ``exec_fn``, so a
 bound-step walk is the emulator semantics by construction.  The
-specializations mirror the corresponding ``exec_fn`` bodies statement
-for statement (same scalar helpers, same masking) and
-``tests/x86/test_stepper.py`` checks them differentially against the
-generic interpreter on random programs and the libimf kernels.
+specializations mirror the corresponding ``exec_fn`` bodies (the
+inlined arithmetic computes its scalar helper expression for
+expression) and ``tests/x86/test_stepper.py`` checks them
+differentially against the generic interpreter on random programs, the
+libimf kernels and IEEE edge values.
+
+The JIT starts every run with all status flags clear and never writes
+them back to ``state.flags``; a bound-step run from slot 0 must start
+the same way, so callers prepend :data:`ZERO_FLAGS` to it.
 """
 
 from __future__ import annotations
 
+import operator
+import struct
 from typing import Callable, Dict, Tuple
 
 from repro.x86 import scalar
@@ -37,10 +50,8 @@ _STEP_CACHE: Dict[object, Tuple[Callable, tuple]] = {}
 _STEP_CACHE_CAP = 65536
 
 # addsd-family semantics (``_sd_binop``): dst.lo = helper(dst.lo, src64).
+# The three hottest opcodes have inlined closures below instead.
 _SD_BINOP_HELPERS = {
-    "addsd": scalar.add_d,
-    "subsd": scalar.sub_d,
-    "mulsd": scalar.mul_d,
     "divsd": scalar.div_d,
     "minsd": scalar.min_d,
     "maxsd": scalar.max_d,
@@ -49,6 +60,31 @@ _SD_BINOP_HELPERS = {
 # movapd-family semantics (``_ex_mov128``): full 128-bit register copy.
 _MOV128_NAMES = frozenset(("movapd", "movaps", "movdqa", "movups", "movdqu"))
 
+# addsd / subsd / mulsd register forms with scalar.add_d / sub_d / mul_d
+# inlined: one two-quad struct round trip reads both operands as
+# doubles, and the result is stored with d2u_c's NaN canonicalization.
+# State slots only hold 64-bit-masked values, so the helpers' operand
+# masking is not needed.
+_INLINE_SD_BINOPS = {
+    "addsd": operator.add,
+    "subsd": operator.sub,
+    "mulsd": operator.mul,
+}
+_PACK_QQ = struct.Struct("<2Q").pack
+_UNPACK_DD = struct.Struct("<2d").unpack
+_PACK_D = scalar._PACK_D.pack
+_UNPACK_Q = scalar._PACK_Q.unpack
+_NAN_BITS = scalar._NAN_BITS
+
+
+def _zero_flags(state, _ops) -> None:
+    flags = state.flags
+    flags["zf"] = flags["cf"] = flags["sf"] = flags["of"] = flags["pf"] = 0
+
+
+# The JIT prologue ``fz = fc = fs = fo = fp = 0`` as a bound step.
+ZERO_FLAGS = (_zero_flags, ())
+
 
 def _bind(instr) -> Tuple[Callable, tuple]:
     """The ``(fn, operands)`` pair executing ``instr`` as ``fn(state,
@@ -56,6 +92,20 @@ def _bind(instr) -> Tuple[Callable, tuple]:
     spec = instr.spec
     ops = instr.operands
     name = instr.opcode
+
+    op = _INLINE_SD_BINOPS.get(name)
+    if op is not None and isinstance(ops[0], Xmm):
+        # _sd_binop.ex with the scalar helper inlined (see above).
+        si, di = ops[0].index, ops[1].index
+
+        def step(state, _ops, op=op, si=si, di=di, pack_qq=_PACK_QQ,
+                 unpack_dd=_UNPACK_DD, pack_d=_PACK_D, unpack_q=_UNPACK_Q):
+            lo = state.xmm_lo
+            x, y = unpack_dd(pack_qq(lo[di], lo[si]))
+            r = op(x, y)
+            lo[di] = _NAN_BITS if r != r else unpack_q(pack_d(r))[0]
+
+        return step, ops
 
     helper = _SD_BINOP_HELPERS.get(name)
     if helper is not None and isinstance(ops[0], Xmm):

@@ -11,13 +11,15 @@ import random
 
 import pytest
 
+from repro.kernels.libimf import LIBIMF_KERNELS
 from repro.x86.assembler import assemble
 from repro.x86.checkpoint import (DEFAULT_STORE_BUDGET, STORE,
                                   checkpoint_store_stats, checkpoint_stride,
                                   clear_checkpoint_store, flags_live_in,
                                   program_writes, resume_boundary,
                                   set_checkpoint_budget, union_writes)
-from repro.x86.jit import compile_program
+from repro.x86.jit import compile_cache_stats, compile_program
+from repro.x86.scalar import d2u
 from repro.x86.testcase import uniform_testcases
 
 from repro.core.cost import CostConfig, CostFunction
@@ -380,6 +382,74 @@ class TestCheckpointLifecycle:
         rewrite = short.with_slot(1, assemble("subsd xmm1, xmm0").slots[0])
         assert inc.cost(rewrite, edit_index=1) == ref.cost(rewrite)
         assert inc.incremental_fallbacks == 1
+
+
+class TestCompileFreeEvaluation:
+    """Edit-aware evaluation on the jit backend interprets every
+    proposal: boundary-0 plans, captures and suffixes alike."""
+
+    def test_stale_flags_do_not_leak_into_a_run_from_slot_0(self):
+        # rax = 7, rcx = rdx = 9; ucomisd 2.0 against 1.0 sets CF.
+        tests = [base_testcase(seed).replace("rax", 7).replace("rcx", 9)
+                 .replace("rdx", 9).replace("xmm0", d2u(1.0))
+                 .replace("xmm1", d2u(2.0)) for seed in range(4)]
+        target = assemble("""
+            cmovbe rcx, rax
+            addsd xmm2, xmm2
+            addsd xmm2, xmm2
+            addsd xmm2, xmm2
+            addsd xmm2, xmm2
+            addsd xmm2, xmm2
+            ucomisd xmm1, xmm0
+            addsd xmm2, xmm2
+        """)
+        inc = CostFunction(target, tests, ("rax",), CostConfig())
+        ref = CostFunction(target, tests, ("rax",), CostConfig())
+        # An edit at 7 resumes from boundary 6: the interpreted suffix
+        # runs the ucomisd and leaves CF=1 in every pooled state.
+        late = target.with_slot(7, assemble("mulsd xmm2, xmm2").slots[0])
+        assert inc.cost(late, edit_index=7) == ref.cost(late)
+        assert inc.incremental_hits == 1
+        assert all(tc._pooled.flags["cf"] == 1 for tc in tests)
+        # An edit at 0 runs every slot from the pooled state.  The JIT
+        # starts with flags clear, so cmovbe must not fire (rax stays 7);
+        # with CF left over it would move 9 into rax.
+        early = target.with_slot(0, assemble("cmovbe rdx, rax").slots[0])
+        want = ref.cost(early)
+        assert want.correct
+        assert inc.cost(early, edit_index=0) == want
+        assert inc.incremental_fallbacks == 1
+
+    def test_edit_aware_walk_compiles_nothing(self):
+        spec = LIBIMF_KERNELS["sin"]()
+        tests = spec.testcases(random.Random(17), 16)
+        inc = CostFunction(spec.program, tests, spec.live_outs, CostConfig())
+        ref = CostFunction(spec.program, tests, spec.live_outs, CostConfig())
+        transforms = Transforms(spec.program)
+        rng = random.Random(17)
+        current = spec.program
+        walked = 0
+        while walked < 200:
+            proposal, _move, span = transforms.propose(rng, current)
+            if proposal is None:
+                continue
+            walked += 1
+            before = compile_cache_stats()
+            got = inc.cost(proposal, edit_index=span)
+            after = compile_cache_stats()
+            assert after["misses"] == before["misses"], f"proposal {walked}"
+            assert after["hits"] == before["hits"], f"proposal {walked}"
+            # The full-path reference compiles; it runs outside the
+            # measured window.
+            assert got == ref.cost(proposal), f"proposal {walked}"
+            if walked % 5 == 0:
+                current = proposal
+                inc.set_current(proposal)
+        # Both plan kinds ran: resumed from a checkpoint (some of them
+        # captured on demand) and boundary 0.
+        assert inc.incremental_hits > 0
+        assert inc.incremental_fallbacks > 0
+        assert inc.incremental_captures > 0
 
 
 class TestAdaptiveOrderingStability:

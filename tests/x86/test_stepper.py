@@ -77,7 +77,8 @@ class TestDifferential:
 
     def test_specialized_families_direct(self):
         # Dense coverage of every specialized shape, including NaN
-        # payloads and the movq immediate path.
+        # payloads, the movq immediate path, and IEEE edge values through
+        # the inlined addsd/subsd/mulsd conversions.
         program = assemble(
             "movq $0x7ff4000000abcdef, xmm1\n"  # signaling-NaN payload
             "movq $2.5d, xmm2\n"
@@ -92,9 +93,24 @@ class TestDifferential:
             "movsd xmm1, xmm5\n"
             "movapd xmm5, xmm6\n"
             "ucomisd xmm2, xmm6\n"
+            "movq $1e300d, xmm7\n"
+            "mulsd xmm7, xmm7\n"               # overflow to +inf
+            "movsd xmm7, xmm8\n"
+            "subsd xmm7, xmm8\n"               # inf - inf
+            "movq $1e-160d, xmm9\n"
+            "mulsd xmm9, xmm9\n"               # denormal product
+            "movq $-0.0d, xmm10\n"
+            "addsd xmm10, xmm10\n"             # -0.0 + -0.0
         )
         for seed in range(6):
             _assert_differential(program, base_testcase(seed))
+        state = base_testcase(0).build_state()
+        assert _run_bound(program, state) is None
+        lo = state.xmm_lo
+        assert lo[7] == 0x7FF0000000000000
+        assert lo[8] == 0x7FF8000000000000  # the canonical NaN
+        assert 0 < lo[9] < 0x0010000000000000  # denormal, not flushed
+        assert lo[10] == 0x8000000000000000
 
 
 class TestBinding:
