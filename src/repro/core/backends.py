@@ -1,15 +1,20 @@
 """The execution-backend registry: one source of truth for backend names.
 
 Every seam that accepts a backend choice — :class:`repro.core.runner.Runner`,
-the cost function's incremental planner, the CLI's ``--backend`` flags, and
-service job payloads — validates against this registry, so adding a backend
-(or catching a typo with a helpful error) happens in exactly one place.
+the CLI's ``--backend`` flags, and service job payloads — validates against
+this registry, so adding a backend (or catching a typo with a helpful
+error) happens in exactly one place.
 
 A backend is either *compiled* (``prepare`` translates the program once
 into an object exposing the ``CompiledProgram`` execution surface —
-``writes``, ``run``, ``run_batch``, ``run_from``, ``run_batch_from``) or
-*interpreted* (``prepare`` is the identity and execution goes through an
-:class:`~repro.x86.emulator.Emulator`).
+``writes``, ``run``, ``run_batch``) or *interpreted* (``prepare`` is the
+identity and execution goes through an
+:class:`~repro.x86.emulator.Emulator`).  The backend decides how full
+programs run (target outputs, reference evaluations, validation,
+exhaustive checking, catalog measurement); edit-aware proposal
+evaluation in :class:`repro.core.cost.CostFunction` resumes from prefix
+checkpoints and runs bound steps (:mod:`repro.x86.stepper`) whatever
+the backend.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from repro.x86.jit import compile_program  # noqa: F401
 from repro.x86.locations import Loc, MemLoc
 from repro.x86.program import Program
 from repro.x86.signals import Signal, SignalError
-from repro.x86.stepper import ZERO_FLAGS, bound_steps
+from repro.x86.stepper import bound_steps
 from repro.x86.testcase import TestCase
 
 from repro.core.perf import LatencyPerf
@@ -110,13 +110,6 @@ def location_ulp_distance(loc: Location, bits_a: int, bits_b: int) -> float:
     return float(bin(bits_a ^ bits_b).count("1"))
 
 
-def _steps_of(slots, start: int, stop: Optional[int] = None) -> tuple:
-    """Bound steps for ``slots[start:stop]``.  A run from slot 0 first
-    clears the status flags, as the JIT prologue does."""
-    steps = bound_steps(slots[start:stop])
-    return (ZERO_FLAGS,) + steps if start == 0 else steps
-
-
 def _run_steps(steps: tuple, state) -> Optional[Signal]:
     """Run bound steps on one state; the signal raised, or None."""
     try:
@@ -133,11 +126,12 @@ class _IncPlan:
     Built once per proposal from its edit span; holds the resume
     boundary, the content-addressed prefix key (None for a boundary-0
     plan, which has no prefix to restore), the fallback capture bases,
-    and backend-bound segment/suffix executors.
+    the bound steps of the suffix ``[boundary, end)``, and the capture
+    segments ``[base, boundary)`` bound so far, by base.
     """
 
     __slots__ = ("slots", "boundary", "prefix_key", "bases", "writes_at_b",
-                 "promise", "run_suffix", "run_segment")
+                 "promise", "steps", "segments")
 
 
 class CostFunction:
@@ -356,14 +350,25 @@ class CostFunction:
         The plan resumes from the largest flags-safe checkpoint boundary
         at or below the edit.  When there is none (the program is too
         short for checkpoints, the edit is in the first stride, or the
-        flags-liveness rule pushes the boundary to 0), the jit backend
-        still gets a plan: boundary 0, no prefix key, no capture.  The
-        other backends return None (full evaluation) then, and every
-        backend does when the test set contains duplicated test objects.
+        flags-liveness rule pushes the boundary to 0), the plan has
+        boundary 0, no prefix key and no capture.  Only a test set with
+        duplicated test objects gets None (full evaluation).
+
+        The plan is the same on every backend, and nothing is compiled
+        here: a proposal is a never-before-seen program evaluated once,
+        so a JIT compile (~1ms) could never amortize, while a bound step
+        costs well under 1us.  Suffixes, capture segments and boundary-0
+        runs all execute as bound steps, whose semantics are bit-identical
+        to every backend's (tests/x86/test_differential.py is the
+        contract; tests/x86/test_stepper.py pins bound steps to it).
+        Every run starts on a freshly reset pooled state, whose status
+        flags the pool restores to the test's all-clear values; a resumed
+        run never reads flags before writing them (the boundary is
+        flags-safe).  The liveness-based write sets are supersets of what
+        the steps write, which is safe for snapshot and apply.
         """
         if self._has_dup_tests:
             return None
-        jit = self.runner.backend == "jit"
         slots = rewrite.slots
         n = len(slots)
         stride = checkpoint_stride(n)
@@ -374,8 +379,6 @@ class CostFunction:
             flags = flags_live_in(rewrite)
             while boundary > 0 and flags[boundary]:
                 boundary -= stride
-        if boundary <= 0 and not jit:
-            return None
         plan = _IncPlan()
         plan.slots = slots
         plan.boundary = boundary
@@ -386,73 +389,17 @@ class CostFunction:
             # whole prefix (descending, nearest first).
             plan.bases = tuple(b for b in range(boundary - stride, 0, -stride)
                                if not flags[b])
+            plan.writes_at_b = self._prefix_writes_of(rewrite,
+                                                      plan.prefix_key)
+            plan.promise = union_writes(
+                plan.writes_at_b, program_writes(rewrite, boundary))
         else:
             plan.prefix_key = None
             plan.bases = ()
-        if jit:
-            # Nothing is compiled here: a proposal is a never-before-
-            # seen program evaluated once, so a JIT compile (~1ms) could
-            # never amortize, while a bound step costs well under 1us.
-            # Suffixes, capture segments and boundary-0 runs all execute
-            # as bound steps, whose semantics are bit-identical to the
-            # JIT's (tests/x86/test_differential.py is the contract;
-            # tests/x86/test_stepper.py pins bound steps to it).  Status
-            # flags are the one state component steps touch that the
-            # pooled-state promise does not reset: a resumed run never
-            # reads them before writing them (the boundary is
-            # flags-safe), and a run from slot 0 first clears them, as
-            # the JIT prologue does.  The liveness-based write sets are
-            # supersets of the JIT's exact ones, which is safe for
-            # snapshot and apply.
-            if boundary > 0:
-                plan.writes_at_b = self._prefix_writes_of(rewrite,
-                                                          plan.prefix_key)
-                plan.promise = union_writes(
-                    plan.writes_at_b, program_writes(rewrite, boundary))
-            else:
-                plan.writes_at_b = None  # no prefix, nothing to capture
-                plan.promise = program_writes(rewrite)
-            steps = _steps_of(slots, boundary)
-            segments: Dict[int, tuple] = {}
-
-            def run_suffix(states):
-                return [_run_steps(steps, state) for state in states]
-
-            def run_segment(state, base):
-                segment = segments.get(base)
-                if segment is None:
-                    segment = segments[base] = _steps_of(slots, base,
-                                                         boundary)
-                return _run_steps(segment, state)
-
-            plan.run_suffix = run_suffix
-            plan.run_segment = run_segment
-        elif self.runner._compiled:
-            # Vector (or any future compiled backend with cheap
-            # preparation): the prepared object exposes the same
-            # run_from/run_batch_from surface as the JIT, and
-            # vectorize_program is a memoized translation — no machine
-            # code is generated, so preparing the rewrite itself is
-            # fine here, unlike the JIT case above.  The flags-safe
-            # boundary keeps the resume sound: the suffix never reads
-            # flags left by the prefix, matching the backend's
-            # all-clear flag start.
-            prepared = self.runner._backend.prepare(rewrite)
-            plan.writes_at_b = program_writes(rewrite, 0, boundary)
-            plan.promise = union_writes(
-                plan.writes_at_b, program_writes(rewrite, boundary))
-            plan.run_suffix = lambda states: prepared.run_batch_from(
-                boundary, states)
-            plan.run_segment = lambda state, base: prepared.run_from(
-                base, state, boundary).signal
-        else:
-            emulator = self.runner._emulator
-            plan.writes_at_b = program_writes(rewrite, 0, boundary)
-            plan.promise = None  # full pooled restore (flags included)
-            plan.run_suffix = lambda states: emulator.run_batch_from(
-                rewrite, states, boundary)
-            plan.run_segment = lambda state, base: emulator.run_from(
-                rewrite, state, base, boundary).signal
+            plan.writes_at_b = None  # no prefix, nothing to capture
+            plan.promise = program_writes(rewrite)
+        plan.steps = bound_steps(slots[boundary:])
+        plan.segments = {}
         return plan
 
     # Prefix write sets memoized across proposals: proposals from one
@@ -500,7 +447,11 @@ class CostFunction:
         state = test.pooled_state(plan.promise)
         if base_cp is not None:
             base_cp.apply(state)
-        signal = plan.run_segment(state, base)
+        segment = plan.segments.get(base)
+        if segment is None:
+            segment = plan.segments[base] = bound_steps(
+                slots[base:plan.boundary])
+        signal = _run_steps(segment, state)
         self.incremental_captures += 1
         if signal is not None:
             cp = Checkpoint.fault(signal)
@@ -524,35 +475,26 @@ class CostFunction:
         """
         tests = self.tests
         values_of = self.runner.values_of
-        run_suffix = plan.run_suffix
+        steps = plan.steps
         promise = plan.promise
         resumes = plan.prefix_key is not None
 
         def run_chunk(index: int, end: int):
-            chunk_tests = tests[index:end]
-            out: list = [None] * len(chunk_tests)
-            states = []
-            positions = []
-            for pos, test in enumerate(chunk_tests):
+            out = []
+            for test in tests[index:end]:
                 if not resumes:
                     state = test.pooled_state(promise)
                 else:
-                    cp, live = self._ensure_checkpoint(test, plan)
+                    cp, state = self._ensure_checkpoint(test, plan)
                     if cp.signal is not None:
-                        out[pos] = (None, cp.signal)
+                        out.append((None, cp.signal))
                         continue
-                    if live is None:
+                    if state is None:
                         state = test.pooled_state(promise)
                         cp.apply(state)
-                    else:
-                        state = live
-                states.append(state)
-                positions.append(pos)
-            if states:
-                signals = run_suffix(states)
-                for state, pos, signal in zip(states, positions, signals):
-                    out[pos] = ((None, signal) if signal is not None
-                                else (values_of(state), None))
+                signal = _run_steps(steps, state)
+                out.append((None, signal) if signal is not None
+                           else (values_of(state), None))
             return out
 
         return self._eq_loop(run_chunk, early_reject_above, perf_term)
@@ -594,10 +536,10 @@ class CostFunction:
         ``edit_index``: the proposal's edit span (lowest changed slot
         index) relative to the chain's current program.  When given, the
         evaluator resumes from a checkpointed prefix state and
-        re-executes only ``[boundary, end)`` per test (on the jit
-        backend as bound steps, compiling nothing); results are
-        bit-identical to full evaluation, so this is purely a fast path
-        (with the fallbacks listed in :meth:`_incremental_plan`).
+        re-executes only ``[boundary, end)`` per test, as bound steps
+        on every backend, compiling nothing; results are bit-identical
+        to full evaluation, so this is purely a fast path (with the
+        fallbacks listed in :meth:`_incremental_plan`).
         """
         cached = self._cache.get(rewrite)
         if cached is not None:

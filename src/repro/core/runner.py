@@ -234,25 +234,21 @@ class Runner:
             return (read_one(state),)
         return tuple(read(state) for read in self._readers)
 
-    def execute_from(self, prepared, state, start: int,
-                     stop: Optional[int] = None) -> Optional[Signal]:
-        """Run ``[start, stop)`` of a prepared program on an explicit
-        state; returns the signal (None = clean).  The incremental
-        evaluator uses this for checkpoint capture segments and
-        single-test suffix runs."""
+    # Both names stay because the end-to-end benchmark's traced runs wrap them.
+    def execute_from(self, prepared, state) -> Optional[Signal]:
+        """Run a prepared program on a caller-owned state; returns the
+        signal (None = clean)."""
         if self._compiled:
-            outcome = prepared.run_from(start, state, stop)
-        else:
-            outcome = self._emulator.run_from(prepared, state, start, stop)
-        return outcome.signal
+            return prepared.run(state).signal
+        return self._emulator.run(prepared, state).signal
 
-    def execute_batch_from(self, prepared, states, start: int
+    def execute_batch_from(self, prepared, states
                            ) -> List[Optional[Signal]]:
-        """Batched :meth:`execute_from` over explicit states (each must
-        already hold its test's checkpoint at ``start``)."""
+        """Batched :meth:`execute_from`: one signal per caller-owned
+        state (the validator's block evaluation runs through it)."""
         if self._compiled:
-            return prepared.run_batch_from(start, states)
-        return self._emulator.run_batch_from(prepared, states, start)
+            return prepared.run_batch(states)
+        return self._emulator.run_batch(prepared, states)
 
     def run_program(self, program: Program, test: TestCase):
         """One-shot convenience wrapper around prepare + run."""

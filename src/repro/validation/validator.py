@@ -25,6 +25,7 @@ from repro.x86.program import Program
 from repro.x86.state import MachineState
 from repro.x86.testcase import TestCase
 
+from repro.core.backends import resolve_backend
 from repro.core.cost import location_ulp_distance
 from repro.core.runner import Location, Runner
 from repro.validation.geweke import geweke_z
@@ -189,8 +190,9 @@ class _ProposalStates:
     proposal — about half the validator's runtime.  This pool instead
     keeps one pristine state per block slot (no live-ins applied) and,
     per use, resets only the slots the two programs can have dirtied
-    (their union write set on the JIT backend; a full restore on the
-    emulator) before writing the proposal's live-in values directly.
+    (their union write set on compiled backends, which never write the
+    status flags; a full restore on the emulator) before writing the
+    proposal's live-in values directly.
     All proposals drawn from one base test case share its segments, so
     the pristine image never changes.
     """
@@ -274,15 +276,16 @@ class Validator:
     def err_block(self, tests: Sequence[TestCase]) -> List[float]:
         """Equation 13 over a block of test cases in two batched calls.
 
-        The JIT backend executes the whole block inside one compiled
-        function per program instead of one call per (program, test)
-        pair, over the validator's own proposal-state pool; results are
-        bit-identical to per-test :meth:`err`.
+        Compiled backends execute the whole block in one prepared-program
+        call per program (one compiled function on the JIT, one
+        vectorized pass on the vector backend) instead of one call per
+        (program, test) pair, over the validator's own proposal-state
+        pool; results are bit-identical to per-test :meth:`err`.
         """
         pool = self._pool
         if pool is None:
             writes = None
-            if self.runner.backend == "jit":
+            if resolve_backend(self.runner.backend).compiled:
                 writes = union_writes(self._target.writes,
                                       self._rewrite.writes)
             pool = self._pool = _ProposalStates(tests[0].segments, writes)
@@ -292,11 +295,11 @@ class Validator:
             return self._err_block_generic(tests)
         runner = self.runner
         states = pool.states_for(tests)
-        t_signals = runner.execute_batch_from(self._target, states, 0)
+        t_signals = runner.execute_batch_from(self._target, states)
         t_values = [None if signal is not None else runner.values_of(state)
                     for state, signal in zip(states, t_signals)]
         states = pool.states_for(tests)
-        r_signals = runner.execute_batch_from(self._rewrite, states, 0)
+        r_signals = runner.execute_batch_from(self._rewrite, states)
         live_outs = runner.live_outs
         errs = []
         for state, t_out, t_sig, r_sig in zip(states, t_values, t_signals,

@@ -5,17 +5,17 @@ program, so the machine state reaching the first edited slot is identical
 between a proposal and the program it was derived from.  This module
 implements the prefix-state memoization that exploits it (the classic
 superoptimizer trick — fast cost evaluation is what makes the whole
-search go):
+search go); ``CostFunction`` resumes from these checkpoints and runs
+the rest of the program as bound steps (:mod:`repro.x86.stepper`) on
+every backend:
 
 * :func:`checkpoint_stride` — how often to checkpoint, auto-sized from
   program length (``~sqrt(n)`` balances snapshot cost against replayed
   suffix length).
-* :func:`resume_boundary` — the largest checkpoint boundary at or below
-  an edit index from which a given program's suffix can be resumed.
-  Status flags are the one piece of state the JIT never materializes
-  (they live in locals of the compiled function), so a boundary where
-  the suffix reads flags before writing them is not resumable and the
-  boundary steps down until the flags dependence is enclosed.
+* :func:`flags_live_in` — per-index flags liveness.  Checkpoints do not
+  carry status flags, so the cost function's resume boundary (the
+  largest multiple of the stride at or below the edit) steps down past
+  any index where the suffix reads flags before writing them.
 * :class:`Checkpoint` — a write-set-aware snapshot of one test's pooled
   machine state at a boundary (only the GP/XMM slots and sandbox pages
   the running program's prefix can have written are copied), or a fault
@@ -87,8 +87,7 @@ def flags_live_in(program: Program) -> Tuple[bool, ...]:
     at ``>= i`` reads the status flags before any instruction writes them.
 
     Resuming execution at index ``i`` with ``out[i]`` True would need the
-    flag values produced by the prefix, which checkpoints do not carry
-    (the JIT keeps flags in locals and never writes them back).
+    flag values produced by the prefix, which checkpoints do not carry.
     """
     slots = program.slots
     out = [False] * (len(slots) + 1)
@@ -101,28 +100,6 @@ def flags_live_in(program: Program) -> Tuple[bool, ...]:
             live = False
         out[i] = live
     return tuple(out)
-
-
-def resume_boundary(program: Program, edit_index: int,
-                    stride: Optional[int] = None) -> int:
-    """The boundary to resume ``program`` from after an edit at ``edit_index``.
-
-    Returns the largest multiple of ``stride`` that is ``<= edit_index``
-    and at which the program's suffix has no live-in flags dependence;
-    0 means "no usable boundary — evaluate from scratch".
-    """
-    n = len(program.slots)
-    if stride is None:
-        stride = checkpoint_stride(n)
-    if stride <= 0 or edit_index <= 0:
-        return 0
-    boundary = (min(edit_index, n - 1) // stride) * stride
-    if boundary <= 0:
-        return 0
-    flags = flags_live_in(program)
-    while boundary > 0 and flags[boundary]:
-        boundary -= stride
-    return boundary
 
 
 def union_writes(a: tuple, b: tuple) -> tuple:
@@ -174,9 +151,9 @@ def program_writes(program: Program, start: int = 0,
     """Conservative ``(gp, xmm_lo, xmm_hi, mem)`` write set of a slice.
 
     The JIT reports exact write sets from codegen; this liveness-based
-    over-approximation (XMM defs count both halves) serves the emulator
-    backend and the interpreted-suffix promise, where any superset is
-    safe for snapshot/restore.
+    over-approximation (XMM defs count both halves) serves the vector
+    backend and the bound-step promises and checkpoints, where any
+    superset is safe for snapshot/restore.
     """
     gp, xmm = set(), set()
     mem = False

@@ -60,29 +60,3 @@ class Emulator:
             except SignalError as exc:
                 signals[i] = exc.signal
         return signals
-
-    def run_from(self, program: Program, state: MachineState,
-                 start: int, stop: Optional[int] = None) -> Outcome:
-        """Execute only ``[start, stop)`` on a state already holding the
-        prefix's effects — the emulator-side mirror of the JIT's
-        ``run_from``, so differential tests cover both backends."""
-        try:
-            for instr in program.slots[start:stop]:
-                instr.spec.exec_fn(state, instr.operands)
-        except SignalError as exc:
-            return Outcome(signal=exc.signal)
-        return Outcome()
-
-    def run_batch_from(self, program: Program,
-                       states: "Sequence[MachineState]",
-                       start: int, stop: Optional[int] = None) -> list:
-        """Batched :meth:`run_from`; per-state signals (None = ok)."""
-        segment = program.slots[start:stop]
-        signals = [None] * len(states)
-        for i, state in enumerate(states):
-            try:
-                for instr in segment:
-                    instr.spec.exec_fn(state, instr.operands)
-            except SignalError as exc:
-                signals[i] = exc.signal
-        return signals

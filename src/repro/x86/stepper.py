@@ -5,8 +5,8 @@ per instruction per state) and the JIT (whole-program compile): each
 instruction is bound once to a closure with its operand decode already
 resolved, and the closure is cached by instruction content.
 
-Edit-aware cost evaluation on the jit backend runs every search
-proposal through bound steps and never through the JIT compiler: the
+Edit-aware cost evaluation runs every search proposal through bound
+steps, on every backend, and never through the JIT compiler: the
 suffix after a checkpoint, the capture segment that builds a missing
 checkpoint, and, for an edit with no usable checkpoint boundary, the
 whole program from slot 0.  A proposal is a never-before-seen program
@@ -28,9 +28,10 @@ expression) and ``tests/x86/test_stepper.py`` checks them
 differentially against the generic interpreter on random programs, the
 libimf kernels and IEEE edge values.
 
-The JIT starts every run with all status flags clear and never writes
-them back to ``state.flags``; a bound-step run from slot 0 must start
-the same way, so callers prepend :data:`ZERO_FLAGS` to it.
+Bound steps read and write ``state.flags`` as the emulator does.  A run
+from slot 0 starts with the all-clear flags the JIT prologue assumes
+because every run gets a freshly reset pooled state, and the pool
+restores the flags on every reset (``TestCase.pooled_state``).
 """
 
 from __future__ import annotations
@@ -75,15 +76,6 @@ _UNPACK_DD = struct.Struct("<2d").unpack
 _PACK_D = scalar._PACK_D.pack
 _UNPACK_Q = scalar._PACK_Q.unpack
 _NAN_BITS = scalar._NAN_BITS
-
-
-def _zero_flags(state, _ops) -> None:
-    flags = state.flags
-    flags["zf"] = flags["cf"] = flags["sf"] = flags["of"] = flags["pf"] = 0
-
-
-# The JIT prologue ``fz = fc = fs = fo = fp = 0`` as a bound step.
-ZERO_FLAGS = (_zero_flags, ())
 
 
 def _bind(instr) -> Tuple[Callable, tuple]:

@@ -97,6 +97,12 @@ class TestCase:
         those slots.  Omit it to promise nothing — the next call does a
         full restore.
 
+        Every reset also restores the status flags, which no write set
+        names: the JIT and vector backends never write ``state.flags``,
+        but bound steps and the emulator do, and every run on a pooled
+        state must start with the test's pristine (all-clear) flags, as
+        the JIT and vector prologues assume.
+
         The returned state is only valid until the next ``pooled_state``
         call on this test case; callers that need an independent state
         (or run the same test twice concurrently) must use
@@ -111,11 +117,12 @@ class TestCase:
             pooled.restore(self._snapshot)
         elif dirt is not None:
             # Precise write set promised by the previous holder: reset
-            # only the slots that can actually differ from the snapshot.
-            # (state.restore_slots inlined — this runs once per test per
-            # proposal evaluation.)
+            # only the slots that can actually differ from the snapshot,
+            # plus the flags.  (state.restore_slots inlined — this runs
+            # once per test per proposal evaluation.)
             gp_idx, xl_idx, xh_idx, mem = dirt
-            snap_gp, snap_lo, snap_hi, _flags, mem_snapshot = self._snapshot
+            snap_gp, snap_lo, snap_hi, snap_flags, mem_snapshot = \
+                self._snapshot
             gp = pooled.gp
             for index in gp_idx:
                 gp[index] = snap_gp[index]
@@ -125,6 +132,7 @@ class TestCase:
             hi = pooled.xmm_hi
             for index in xh_idx:
                 hi[index] = snap_hi[index]
+            pooled.flags.update(snap_flags)
             if mem:
                 pooled.mem.restore_writable(mem_snapshot)
         self._dirt = writes if writes is not None else "all"

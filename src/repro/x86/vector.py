@@ -35,8 +35,7 @@ op would cost more than it saves.
 Like the JIT, the backend keeps status flags out of
 :class:`~repro.x86.state.MachineState`: each execution starts from
 all-clear flag vectors and never writes ``state.flags`` back (flags are
-never live-out in this system, and incremental resume boundaries are
-chosen flags-safe by :mod:`repro.x86.checkpoint`).
+never live-out in this system).
 
 Instructions with no vectorized form — memory operands, shuffles, FMA,
 packed singles — fall back to the emulator's ``exec_fn`` on a scratch
@@ -1133,9 +1132,8 @@ def _vectorize_instr(instr: Instruction):
 class VectorizedProgram:
     """A program translated once into per-instruction vector closures.
 
-    Drop-in for the JIT's ``CompiledProgram`` surface as the Runner and
-    the cost function consume it: ``writes``, :meth:`run`,
-    :meth:`run_batch`, :meth:`run_from`, :meth:`run_batch_from` — all
+    Drop-in for the JIT's ``CompiledProgram`` surface as the Runner
+    consumes it: ``writes``, :meth:`run`, :meth:`run_batch` — both
     operating on ordinary scalar :class:`MachineState`s via a
     pack -> vector-execute -> scatter round trip.
     """
@@ -1170,14 +1168,13 @@ class VectorizedProgram:
 
     # -- execution core ----------------------------------------------------
 
-    def _execute(self, states: Sequence[MachineState], start: int = 0,
-                 stop: Optional[int] = None) -> List[object]:
+    def _execute(self, states: Sequence[MachineState]) -> List[object]:
         if not states:
             return []
         ctx = _Lanes(states, self._gp_refs, self._xmm_refs)
         gp_idx, xl_idx, xh_idx, _mem = self.writes
         with np.errstate(all="ignore"):
-            for op in self._ops[start:stop]:
+            for op in self._ops:
                 if op is not None:
                     op(ctx)
         # Scatter written rows back into the scalar states.  Faulted
@@ -1207,19 +1204,6 @@ class VectorizedProgram:
         """Execute on every state; per-state signals (None = clean)."""
         return self._execute(states)
 
-    def run_from(self, start: int, state: MachineState,
-                 stop: Optional[int] = None) -> Outcome:
-        """Execute only ``[start, stop)`` on a state already holding the
-        prefix's effects (a restored checkpoint slice)."""
-        signal = self._execute([state], start, stop)[0]
-        return Outcome(signal=signal)
-
-    def run_batch_from(self, start: int, states: Sequence[MachineState],
-                       stop: Optional[int] = None) -> List[object]:
-        """Batched :meth:`run_from`: resume every lane from its
-        checkpoint at ``start`` in one vectorized pass."""
-        return self._execute(states, start, stop)
-
     def run_batch_columns(self, states: Sequence[MachineState],
                           packed: Optional[tuple] = None):
         """Execute without scattering; returns ``(signals, lane context)``.
@@ -1243,8 +1227,8 @@ class VectorizedProgram:
 
 
 # Bounded LRU keyed on immutable program values, mirroring the JIT's
-# compile cache: MCMC proposals revisit recently seen programs, and the
-# current program's prefix segments recur across captures.
+# compile cache: the programs a validation, exhaustive check or catalog
+# measurement runs are translated once and reused across batches.
 _VECTORIZE_CACHE: "OrderedDict[Program, VectorizedProgram]" = OrderedDict()
 _VECTORIZE_CACHE_MAX = 8192
 

@@ -223,6 +223,37 @@ def test_pooled_state_honors_write_promise_scope():
     assert state.gp[1] == 0x2222  # unpromised slot intentionally not
 
 
+def test_pooled_flags_do_not_leak_across_backends():
+    # rax = 7, rcx = 9; ucomisd 2.0 against 1.0 sets CF.  An edit-aware
+    # jit CostFunction runs the ucomisd as a bound step in a resumed
+    # suffix, on the tests' pooled states; an emulator Runner then runs
+    # a flags reader on the same TestCase objects and must see the clear
+    # flags a fresh state has, so cmovbe does not move 9 into rax.
+    from repro.core.cost import CostConfig, CostFunction
+    from repro.x86.emulator import Emulator
+    from repro.x86.scalar import d2u
+
+    tests = [base_testcase(seed).replace("rax", 7).replace("rcx", 9)
+             .replace("xmm0", d2u(1.0)).replace("xmm1", d2u(2.0))
+             for seed in range(4)]
+    target = assemble("\n".join(["addsd xmm2, xmm2"] * 6
+                                 + ["ucomisd xmm1, xmm0",
+                                    "addsd xmm2, xmm2"]))
+    cost = CostFunction(target, tests, ("xmm2",), CostConfig(),
+                        backend="jit")
+    proposal = target.with_slot(7, assemble("mulsd xmm2, xmm2").slots[0])
+    cost.cost(proposal, edit_index=7)
+    assert cost.incremental_hits == 1  # resumed from boundary 6
+    cmov = assemble("cmovbe rcx, rax")
+    runner = Runner(("rax",), backend="emulator")
+    prepared = runner.prepare(cmov)
+    for tc in tests:
+        fresh = tc.build_state()
+        assert Emulator().run(cmov, fresh).ok
+        assert fresh.gp[0] == 7
+        assert runner.run_values(prepared, tc) == ((fresh.gp[0],), None)
+
+
 def test_segments_shared_with_reference():
     # Read-only segments must be shared (identity) between the pooled
     # state and fresh builds; writable ones must not be.

@@ -3,7 +3,7 @@
 The incremental path (edit-span aware ``CostFunction.cost``) must be
 observationally identical to full evaluation: same live-out bits
 (including NaN payloads), same signals, same CostResult — for any edit
-position, either backend, and any interleaving with full evaluations,
+position, any backend, and any interleaving with full evaluations,
 accepts, and checkpoint eviction.
 """
 
@@ -13,13 +13,15 @@ import pytest
 
 from repro.kernels.libimf import LIBIMF_KERNELS
 from repro.x86.assembler import assemble
-from repro.x86.checkpoint import (DEFAULT_STORE_BUDGET, STORE,
+from repro.x86.checkpoint import (DEFAULT_STORE_BUDGET, STORE, Checkpoint,
                                   checkpoint_store_stats, checkpoint_stride,
                                   clear_checkpoint_store, flags_live_in,
-                                  program_writes, resume_boundary,
-                                  set_checkpoint_budget, union_writes)
-from repro.x86.jit import compile_cache_stats, compile_program
+                                  program_writes, set_checkpoint_budget,
+                                  union_writes)
+from repro.x86.jit import compile_cache_stats
 from repro.x86.scalar import d2u
+from repro.x86.signals import SignalError
+from repro.x86.stepper import bound_steps
 from repro.x86.testcase import uniform_testcases
 
 from repro.core.cost import CostConfig, CostFunction
@@ -77,6 +79,31 @@ def make_pair(target, tests, backend="jit", **cfg):
     return inc, ref
 
 
+def run_steps(slots, state):
+    """Run ``slots`` on ``state`` as bound steps; the signal, or None."""
+    try:
+        for fn, operands in bound_steps(slots):
+            fn(state, operands)
+    except SignalError as exc:
+        return exc.signal
+    return None
+
+
+def resumed_run(program, boundary, test):
+    """Run ``program`` on ``test`` the way edit-aware evaluation does:
+    the prefix as bound steps on the test's pooled state, a checkpoint of
+    the prefix's write set applied after a full pooled reset, then the
+    suffix as bound steps.  Returns ``(state, signal)``."""
+    state = test.pooled_state()
+    signal = run_steps(program.slots[:boundary], state)
+    if signal is not None:
+        return state, signal
+    cp = Checkpoint.capture(state, program_writes(program, 0, boundary))
+    state = test.pooled_state()
+    cp.apply(state)
+    return state, run_steps(program.slots[boundary:], state)
+
+
 class TestStrideAndBoundaries:
     def test_short_programs_have_no_checkpoints(self):
         for n in range(4):
@@ -104,13 +131,14 @@ class TestStrideAndBoundaries:
         lines[5] = "cmovae rcx, rax"
         program = assemble("\n".join(lines))
         assert checkpoint_stride(16) == 4
+        cost = CostFunction(program, kernel_tests(2), LIVE_OUTS)
         # Edit at 9: boundary 8 has no live-in flags.
-        assert resume_boundary(program, 9) == 8
+        assert cost._incremental_plan(program, 9).boundary == 8
         # Edit at 6: raw boundary 4 sits between ucomisd and cmovae,
         # where flags are live — no usable boundary remains.
-        assert resume_boundary(program, 6) == 0
+        assert cost._incremental_plan(program, 6).boundary == 0
         # Edits at or below index 0 cannot be resumed.
-        assert resume_boundary(program, 0) == 0
+        assert cost._incremental_plan(program, 0).boundary == 0
 
     def test_union_writes(self):
         a = ((1,), (0, 2), (0,), False)
@@ -126,7 +154,8 @@ class TestStrideAndBoundaries:
 
 
 class TestSuffixEntryPoints:
-    """run_from / run_batch_from == full execution, both backends."""
+    """A checkpointed bound-step prefix plus a bound-step suffix equals
+    one full run on each backend, at every flags-safe boundary."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", range(6))
@@ -137,50 +166,22 @@ class TestSuffixEntryPoints:
         prepared = runner.prepare(program)
         for tc in kernel_tests(3, seed=40 + seed):
             full = tc.build_state()
-            if backend == "emulator":
-                out_full = runner._emulator.run(program, full)
-            else:
-                out_full = prepared.run(full)
+            full_signal = runner.execute_from(prepared, full)
             for boundary in range(1, 12):
                 if flags[boundary]:
                     continue  # not a resumable split point
-                state = tc.build_state()
-                if backend == "emulator":
-                    emulator = runner._emulator
-                    head = emulator.run_from(program, state, 0, boundary)
-                    tail = (emulator.run_from(program, state, boundary)
-                            if head.ok else head)
-                else:
-                    head = prepared.run_from(0, state, stop=boundary)
-                    tail = (prepared.run_from(boundary, state)
-                            if head.ok else head)
-                if not out_full.ok:
-                    # Straight-line code: a fault in either piece must
-                    # reproduce the full run's signal.
-                    assert (head.signal or tail.signal) == out_full.signal
+                state, signal = resumed_run(program, boundary, tc)
+                # Straight-line code: a fault in either piece must
+                # reproduce the full run's signal.
+                assert signal == full_signal
+                if signal is not None:
                     continue
-                assert head.ok and tail.ok
                 assert state.gp == full.gp
                 assert state.xmm_lo == full.xmm_lo
                 assert state.xmm_hi == full.xmm_hi
                 assert [img for _seg, img in
                         state.mem.snapshot_writable()] == \
                     [img for _seg, img in full.mem.snapshot_writable()]
-
-    def test_run_batch_from_zero_is_run_batch(self):
-        prepared = compile_program(KERNEL)
-        tests = kernel_tests(6)
-        a = [tc.build_state() for tc in tests]
-        b = [tc.build_state() for tc in tests]
-        assert prepared.run_batch_from(0, a) == prepared.run_batch(b)
-        assert [s.gp for s in a] == [s.gp for s in b]
-        assert [s.xmm_lo for s in a] == [s.xmm_lo for s in b]
-
-    def test_suffix_segments_share_the_compile_cache(self):
-        prepared = compile_program(KERNEL)
-        assert prepared.segment(4) is prepared.segment(4)
-        assert prepared.resume_boundary(9) == 8
-        assert prepared.resume_boundary(5) == 0  # flags live at 4
 
 
 def walk_differential(backend, seed, steps=120, accept_every=7):
@@ -245,16 +246,13 @@ class TestIncrementalCostDifferential:
         program = assemble("\n".join(["addsd xmm0, xmm0"] * 4
                                      + ["mulsd xmm1, xmm0"] * 4))
         runner = Runner(LIVE_OUTS)
-        prepared = runner.prepare(program)
-        full = runner.run_batch(prepared, tests)
-        boundary = resume_boundary(program, 5)
+        full = runner.run_batch(runner.prepare(program), tests)
+        cost = CostFunction(program, tests, LIVE_OUTS)
+        boundary = cost._incremental_plan(program, 5).boundary
         assert boundary > 0
-        states = [tc.build_state() for tc in tests]
-        for state in states:
-            assert prepared.run_from(0, state, stop=boundary).ok
-        assert prepared.run_batch_from(boundary, states) == [None, None]
-        assert [runner.values_of(s) for s in states] == \
-            [values for values, _sig in full]
+        resumed = [resumed_run(program, boundary, tc) for tc in tests]
+        assert [(runner.values_of(state), signal)
+                for state, signal in resumed] == full
 
     def test_early_reject_paths_agree(self):
         tests = kernel_tests(10, seed=13)
@@ -385,8 +383,8 @@ class TestCheckpointLifecycle:
 
 
 class TestCompileFreeEvaluation:
-    """Edit-aware evaluation on the jit backend interprets every
-    proposal: boundary-0 plans, captures and suffixes alike."""
+    """Edit-aware evaluation interprets every proposal on every backend:
+    boundary-0 plans, captures and suffixes alike."""
 
     def test_stale_flags_do_not_leak_into_a_run_from_slot_0(self):
         # rax = 7, rcx = rdx = 9; ucomisd 2.0 against 1.0 sets CF.
@@ -405,19 +403,22 @@ class TestCompileFreeEvaluation:
         """)
         inc = CostFunction(target, tests, ("rax",), CostConfig())
         ref = CostFunction(target, tests, ("rax",), CostConfig())
+        late = target.with_slot(7, assemble("mulsd xmm2, xmm2").slots[0])
+        early = target.with_slot(0, assemble("cmovbe rdx, rax").slots[0])
+        # Both references run first: any later pooled reset clears the
+        # flags, so a reference run in between would hide a leak.
+        want_late = ref.cost(late)
+        want_early = ref.cost(early)
+        assert want_early.correct
         # An edit at 7 resumes from boundary 6: the interpreted suffix
         # runs the ucomisd and leaves CF=1 in every pooled state.
-        late = target.with_slot(7, assemble("mulsd xmm2, xmm2").slots[0])
-        assert inc.cost(late, edit_index=7) == ref.cost(late)
+        assert inc.cost(late, edit_index=7) == want_late
         assert inc.incremental_hits == 1
         assert all(tc._pooled.flags["cf"] == 1 for tc in tests)
-        # An edit at 0 runs every slot from the pooled state.  The JIT
-        # starts with flags clear, so cmovbe must not fire (rax stays 7);
-        # with CF left over it would move 9 into rax.
-        early = target.with_slot(0, assemble("cmovbe rdx, rax").slots[0])
-        want = ref.cost(early)
-        assert want.correct
-        assert inc.cost(early, edit_index=0) == want
+        # An edit at 0 runs every slot from the pooled state.  The pool
+        # restores the test's clear flags, so cmovbe must not fire (rax
+        # stays 7); with CF left over it would move 9 into rax.
+        assert inc.cost(early, edit_index=0) == want_early
         assert inc.incremental_fallbacks == 1
 
     def test_edit_aware_walk_compiles_nothing(self):
@@ -536,65 +537,43 @@ class TestSearchEquivalence:
 
 
 class TestVectorCheckpointComposition:
-    """Checkpoint-slice composition on the vector backend: resuming a
-    vectorized batch from a prefix boundary must equal full vector
-    execution and equal both scalar backends, bit for bit."""
+    """Edit-aware evaluation on the vector backend resumes from the same
+    checkpoints and bound steps as the scalar backends, so its results
+    equal full vector evaluation and both scalar backends, bit for bit."""
 
     def _full_reference(self, backend, program, tests):
         runner = Runner(LIVE_OUTS, backend=backend)
         return runner.run_batch(runner.prepare(program), tests)
 
-    def test_vector_resume_equals_full_across_backends(self):
-        from repro.x86.vector import vectorize_program
-
-        tests = kernel_tests(8, seed=61)
-        refs = [self._full_reference(b, KERNEL, tests)
-                for b in ("jit", "emulator", "vector")]
-        assert refs[0] == refs[1] == refs[2]
-        runner = Runner(LIVE_OUTS, backend="vector")
-        vp = vectorize_program(KERNEL)
-        flags = flags_live_in(KERNEL)
-        for boundary in range(1, 12):
-            if flags[boundary]:
-                continue
-            states = [tc.build_state() for tc in tests]
-            for state in states:
-                assert vp.run_from(0, state, stop=boundary).ok
-            signals = vp.run_batch_from(boundary, states)
-            got = [(None, sig) if sig is not None
-                   else (runner.values_of(state), None)
-                   for state, sig in zip(states, signals)]
-            assert got == refs[0], f"boundary {boundary}"
-
     def test_vector_resume_with_mid_program_faulting_lane(self):
         from repro.x86.signals import Signal
-        from repro.x86.vector import vectorize_program
 
-        # Slot 6 (inside the suffix for boundary 4) loads through rax;
-        # one lane carries a wild pointer and must fault there, after
-        # the resume point, while the other lanes complete.
+        # Slot 6 loads through rax; one lane carries a wild pointer and
+        # must fault there, in the suffix after boundary 6, while the
+        # other lanes complete.  The sum reduction keeps the completed
+        # lanes' errors in the cost.
+        target = assemble("\n".join(["addsd xmm0, xmm0"] * 12))
         lines = ["addsd xmm0, xmm0"] * 12
         lines[6] = "movsd (rax), xmm3"
         program = assemble("\n".join(lines))
         good = [base_testcase(i).replace("rax", 0x4000) for i in range(3)]
         bad = base_testcase(7).replace("rax", 0xDEAD0000)
         tests = [good[0], bad, good[1], good[2]]
-        refs = [self._full_reference(b, program, tests)
-                for b in ("jit", "emulator", "vector")]
+        refs = [self._full_reference(b, program, tests) for b in BACKENDS]
         assert refs[0] == refs[1] == refs[2]
         assert refs[0][1] == (None, Signal.SIGSEGV)
-        runner = Runner(LIVE_OUTS, backend="vector")
-        vp = vectorize_program(program)
-        boundary = resume_boundary(program, 5)
-        assert 0 < boundary <= 6
-        states = [tc.build_state() for tc in tests]
-        for state in states:
-            assert vp.run_from(0, state, stop=boundary).ok
-        signals = vp.run_batch_from(boundary, states)
-        got = [(None, sig) if sig is not None
-               else (runner.values_of(state), None)
-               for state, sig in zip(states, signals)]
-        assert got == refs[0]
+        costs = []
+        for backend in BACKENDS:
+            clear_checkpoint_store()
+            inc, ref = make_pair(target, tests, backend=backend,
+                                 reduction="sum")
+            assert inc._incremental_plan(program, 6).boundary == 6
+            got = inc.cost(program, edit_index=6)
+            assert inc.incremental_hits == 1
+            assert got == ref.cost(program)
+            assert got.signalled and got.eq > CostConfig().ws
+            costs.append(got)
+        assert costs[0] == costs[1] == costs[2]
 
     def test_vector_incremental_cost_matches_scalar_backends(self):
         # The full incremental path (checkpoint capture, suffix resume,

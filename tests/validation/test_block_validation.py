@@ -23,7 +23,7 @@ from repro.validation.validator import (SIGNAL_ERR, ValidationConfig,
 
 from tests.conftest import base_testcase
 
-BACKENDS = ("jit", "emulator")
+BACKENDS = ("jit", "emulator", "vector")
 RANGES = {"xmm0": (-10.0, 10.0)}
 
 
