@@ -5,7 +5,11 @@ programs in lockstep over one paired abstract state, instead of
 subtracting independently computed output hulls.
 """
 
-from repro.verify.relational.diffbound import PairEvaluator, window_ulp_bound
+from repro.verify.relational.diffbound import (
+    PairBox,
+    PairPlan,
+    window_ulp_bound,
+)
 from repro.verify.relational.domain import (
     RelationalTransfer,
     shared_prefix_len,
@@ -19,7 +23,8 @@ from repro.verify.relational.smt import (
 )
 
 __all__ = [
-    "PairEvaluator",
+    "PairBox",
+    "PairPlan",
     "RelationalTransfer",
     "SmtOutcome",
     "cross_check_certificate",

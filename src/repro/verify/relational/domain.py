@@ -10,10 +10,11 @@ paired abstract state per box:
   bit-identical to the two-run semantics of the interpretive oracle.
 * **Correlated live-outs** — both programs are also executed
   symbolically once at construction (extended fragment of
-  :mod:`repro.verify.symbolic`); per box the paired expression DAGs are
-  re-evaluated by :class:`~repro.verify.relational.diffbound.PairEvaluator`
-  and the live-out ULP distance is bounded through the *difference*
-  window rather than by subtracting independent hulls.
+  :mod:`repro.verify.symbolic`) and the paired expression DAGs compiled
+  into a :class:`~repro.verify.relational.diffbound.PairPlan`; per box
+  the plan is re-evaluated and the live-out ULP distance is bounded
+  through the *difference* window rather than by subtracting
+  independent hulls.
 
 Per live-out and per box the reported bound is the **minimum** of the
 separate-domain bound and the relational window bound, so the relational
@@ -34,7 +35,11 @@ from repro.verify.interval import (
     _read_output,
     _StateSnapshot,
 )
-from repro.verify.relational.diffbound import PairEvaluator, window_ulp_bound
+from repro.verify.relational.diffbound import (
+    PairBox,
+    PairPlan,
+    window_ulp_bound,
+)
 from repro.verify.symbolic import Node, SymbolicUnsupported, symbolic_execute
 from repro.verify.uf import _read_location
 from repro.x86.program import Program
@@ -110,6 +115,10 @@ class RelationalTransfer(IntervalTransfer):
         self.pairs, self.relational_error = _extract_pairs(
             self.target, self.rewrite, self.locations, self.memory,
             self.concrete_gp)
+        self.pair_plan = PairPlan(list(self.pairs.values()))
+        root_of = {name: k for k, name in enumerate(self.pairs)}
+        # per live-out location: its plan root, or None when unpaired
+        self._roots = [root_of.get(str(loc)) for loc in self.locations]
 
     # -- paired execution --------------------------------------------------
 
@@ -144,20 +153,19 @@ class RelationalTransfer(IntervalTransfer):
     def _outputs(self, t_state, r_state, inputs=None):
         per_loc: Dict[str, float] = {}
         total = 0.0
-        evaluator = None
-        for loc in self.locations:
+        box = None
+        for loc, root in zip(self.locations, self._roots):
             t_out = _read_output(t_state, loc)
             r_out = _read_output(r_state, loc)
             bound = _interval_ulp_pair(loc, t_out, r_out)
-            pair = self.pairs.get(str(loc))
-            if (pair is not None and inputs is not None and bound > 0.0
+            if (root is not None and inputs is not None and bound > 0.0
                     and loc.ftype == "f64"
                     and isinstance(t_out, IntervalD)
                     and isinstance(r_out, IntervalD)):
-                if evaluator is None:
-                    evaluator = PairEvaluator(*_input_hulls(inputs))
-                diff = evaluator.diff(pair[0], pair[1])
-                window = window_ulp_bound(loc.ftype, t_out, r_out, diff)
+                if box is None:
+                    box = PairBox(self.pair_plan, *_input_hulls(inputs))
+                window = window_ulp_bound(loc.ftype, t_out, r_out,
+                                          box.diff(root))
                 if window < bound:
                     bound = window
             per_loc[str(loc)] = bound

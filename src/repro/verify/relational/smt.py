@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.verify.relational.diffbound import PairEvaluator
+from repro.verify.relational.diffbound import PairBox, PairPlan
 from repro.verify.relational.domain import (
     RelationalTransfer,
     _input_hulls,
@@ -281,11 +281,10 @@ def _check_fp(pairs, f64_inputs, bound: int, timeout_ms: int) -> SmtOutcome:
 def _value_tolerance(pairs, f64_inputs, bound: float) -> float:
     """``bound`` ULPs translated to a sufficient value-space tolerance:
     bound times the minimum float spacing over the joint output hull."""
-    evaluator = PairEvaluator(dict(f64_inputs), {})
+    box = PairBox(PairPlan(pairs), dict(f64_inputs), {})
     spacing = math.inf
-    for t_node, r_node in pairs:
-        th = evaluator.f64(t_node)
-        rh = evaluator.f64(r_node)
+    for root in range(len(pairs)):
+        th, rh = box.hulls(root)
         if th is None or rh is None:
             raise SmtUnsupported("output hull unavailable for relaxation")
         lo = min(th.lo, rh.lo)

@@ -12,21 +12,26 @@ The relational transfer's contract has two halves:
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from repro.x86.assembler import assemble
-from repro.x86.testcase import TestCase
+from repro.x86.scalar import u2d
+from repro.x86.testcase import TestCase, encode_for
 
+from repro.core.cost import location_ulp_distance
+from repro.core.runner import Runner
 from repro.fp.ulp import ulp_distance
 from repro.kernels.libimf import LIBIMF_KERNELS
 from repro.verify import exhaustive_check
 from repro.verify.bnb import BnBConfig, BnBVerifier
 from repro.verify.interval import IntervalD, IntervalTransfer
-from repro.verify.partition import BitBox
-from repro.verify.relational.diffbound import window_ulp_bound
+from repro.verify.partition import BitBox, value_of
+from repro.verify.relational.diffbound import PairBox, window_ulp_bound
 from repro.verify.relational.domain import (
     RelationalTransfer,
+    _input_hulls,
     shared_prefix_len,
     transfer_class,
 )
@@ -207,6 +212,68 @@ class TestRelationalSoundness:
                                {"xmm0": (0.5, 2.0)}, domain="relational")
         result = verifier.run(BnBConfig(max_boxes=4))
         assert result.bound_ulps == 0.0
+
+
+class TestPerBoxSoundness:
+    """Per-box property against concrete execution: every emulator run
+    inside a box stays within that box's relational bound, and its exact
+    value difference lies in the compiled plan's root difference."""
+
+    # Box widths in ordered indices (0 is a point box): the range where
+    # the kernels' relational bounds are finite and tight.
+    WIDTHS = (0, 2 ** 4, 2 ** 10, 2 ** 20, 2 ** 30)
+    CENTRES = 8
+    POINTS = 8
+
+    @pytest.mark.parametrize("name", sorted(REDUCED_DEGREE))
+    def test_concrete_points_inside_box_bounds(self, name):
+        spec, rewrite = _libimf_pair(name)
+        rel = RelationalTransfer(spec.program, rewrite,
+                                 list(spec.live_outs), dict(spec.ranges))
+        assert rel.relational_error is None
+        runner = Runner(spec.live_outs, backend="emulator")
+        prepared = (runner.prepare(spec.program), runner.prepare(rewrite))
+        base = spec.base_testcase()
+        rng = random.Random(name)
+        checked = 0
+        for width in self.WIDTHS:
+            for _ in range(self.CENTRES):
+                bounds = []
+                for lo, hi in rel.root.bounds:
+                    w = min(width, hi - lo)
+                    start = min(max(rng.randint(lo, hi) - w // 2, lo), hi - w)
+                    bounds.append((start, start + w))
+                box = BitBox(tuple(bounds))
+                _, per_loc = rel.analyze(box)
+                inputs = rel._inputs_of(box.value_box(rel.dims))
+                plan_box = PairBox(rel.pair_plan, *_input_hulls(inputs))
+                diffs = {loc: plan_box.diff(k)
+                         for k, loc in enumerate(rel.pairs)}
+                tests = []
+                for _ in range(self.POINTS):
+                    test = base
+                    for dim, (lo, hi) in zip(rel.dims, box.bounds):
+                        value = value_of(rng.randint(lo, hi), dim.ftype)
+                        test = test.replace(dim.loc,
+                                            encode_for(dim.loc, value))
+                    tests.append(test)
+                for (t_val, t_sig), (r_val, r_sig) in zip(
+                        runner.run_batch(prepared[0], tests),
+                        runner.run_batch(prepared[1], tests)):
+                    assert t_sig is None and r_sig is None
+                    for loc, t_bits, r_bits in zip(runner.live_outs,
+                                                   t_val, r_val):
+                        key = str(loc)
+                        assert location_ulp_distance(loc, r_bits, t_bits) \
+                            <= per_loc[key], (box.bounds, key)
+                        diff = diffs.get(key)
+                        if diff is not None:
+                            exact = Fraction(u2d(t_bits)) \
+                                - Fraction(u2d(r_bits))
+                            assert diff.lo <= exact <= diff.hi, \
+                                (box.bounds, key, diff)
+                    checked += 1
+        assert checked == len(self.WIDTHS) * self.CENTRES * self.POINTS
 
 
 class TestPerLocationBounds:

@@ -13,8 +13,10 @@ from repro.x86.assembler import assemble
 
 from repro.kernels.libimf import LIBIMF_KERNELS
 from repro.verify.bnb import BnBConfig, BnBVerifier
+from repro.verify.interval import IntervalD
 from repro.verify.relational import smt_available, smt_cross_check
 from repro.verify.relational.domain import RelationalTransfer
+from repro.verify.relational.smt import _pairs_and_inputs, _value_tolerance
 
 
 def _poly_pair():
@@ -56,6 +58,34 @@ class TestWithoutZ3:
         doc = outcome.to_dict()
         assert doc["status"] == "verified"
         assert set(doc) == {"status", "mode", "detail", "counterexample"}
+
+
+class TestValueTolerance:
+    """The real relaxation's value tolerance needs no solver; its output
+    hulls come from the compiled pair plan.  Values pinned exactly."""
+
+    def test_poly_pair(self):
+        pairs, f64_inputs = _pairs_and_inputs(_poly_transfer())
+        assert f64_inputs == {"x0l": IntervalD(0.5, 2.0)}
+        assert _value_tolerance(pairs, f64_inputs, 0.0) == 0.0
+        assert _value_tolerance(pairs, f64_inputs, 4.0) == \
+            4.440892098500626e-16
+        assert _value_tolerance(pairs, f64_inputs, 1e6) == \
+            1.1102230246251565e-10
+
+    @pytest.mark.parametrize("lo,hi,tolerance", [
+        (0.25, 0.5, 1.6653345369377348e-16),
+        (0.5, 0.5, 6.661338147750939e-16),
+    ])
+    def test_exp_sub_box(self, lo, hi, tolerance):
+        factory = LIBIMF_KERNELS["exp"]
+        spec = factory()
+        transfer = RelationalTransfer(spec.program, factory(8).program,
+                                      list(spec.live_outs),
+                                      dict(spec.ranges))
+        pairs, _ = _pairs_and_inputs(transfer)
+        assert _value_tolerance(pairs, {"x0l": IntervalD(lo, hi)},
+                                3.0) == tolerance
 
 
 class TestWithZ3:
