@@ -34,12 +34,16 @@ class Backend:
     ``compiled`` tells the Runner which dispatch shape to use: compiled
     backends execute through the prepared object itself and report a
     ``writes`` promise for pooled-state reuse; interpreted backends keep
-    the program as-is and run it through an Emulator.
+    the program as-is and run it through an Emulator.  ``lane_arrays``
+    marks a backend whose prepared programs execute a batch as lane
+    arrays (``run_batch_columns``): the Runner then reads live-outs as
+    rows and runs input grids from one tiled template.
     """
 
     name: str
     compiled: bool
     prepare: Callable[[Program], object]
+    lane_arrays: bool = False
 
 
 _REGISTRY: Dict[str, Backend] = {}
@@ -70,4 +74,5 @@ def resolve_backend(name: str) -> Backend:
 register_backend(Backend("jit", compiled=True, prepare=compile_program))
 register_backend(Backend("emulator", compiled=False,
                          prepare=lambda program: program))
-register_backend(Backend("vector", compiled=True, prepare=vectorize_program))
+register_backend(Backend("vector", compiled=True, prepare=vectorize_program,
+                         lane_arrays=True))

@@ -25,8 +25,10 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.fp.ieee754 import DOUBLE, SINGLE
-from repro.fp.ulp import ulp_distance_bits
+from repro.fp.ulp import ulp_distance_bits, ulp_distance_columns
 from repro.x86.checkpoint import (Checkpoint, PrefixKey, checkpoint_stride,
                                   flags_live_in, program_writes,
                                   union_writes)
@@ -108,6 +110,23 @@ def location_ulp_distance(loc: Location, bits_a: int, bits_b: int) -> float:
     if loc.ftype == "f32":
         return float(ulp_distance_bits(bits_a, bits_b, SINGLE))
     return float(bin(bits_a ^ bits_b).count("1"))
+
+
+# Set bits of every byte value: the column Hamming distance looks up each
+# byte of a lane (numpy's own popcount needs numpy 2).
+_POPCOUNT8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+
+
+def location_ulp_distance_columns(loc: Location, bits_a: np.ndarray,
+                                  bits_b: np.ndarray) -> np.ndarray:
+    """:func:`location_ulp_distance` lane by lane over uint64 bit
+    columns, as float64."""
+    if loc.ftype == "f64":
+        return ulp_distance_columns(bits_a, bits_b, DOUBLE)
+    if loc.ftype == "f32":
+        return ulp_distance_columns(bits_a, bits_b, SINGLE)
+    lanes = _POPCOUNT8[(bits_a ^ bits_b).view(np.uint8)].reshape(-1, 8)
+    return lanes.sum(axis=1).astype(np.float64)
 
 
 def _run_steps(steps: tuple, state) -> Optional[Signal]:

@@ -2,20 +2,25 @@
 
 A :class:`Runner` binds the live-out locations and a backend choice
 (any name in :func:`repro.core.backends.known_backends`) and turns
-(program, test case) pairs into output bit patterns or a signal.
-Compiled backends (jit, vector) execute through the prepared object and
-its ``writes`` promise; interpreted ones go through the Emulator.
+(program, test case) pairs into output bit patterns or a signal, and
+grids of inputs into per-lane signals and live-out bit columns
+(:meth:`Runner.run_columns`).  Compiled backends (jit, vector) execute
+through the prepared object and its ``writes`` promise; interpreted ones
+go through the Emulator.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.x86.emulator import Emulator
 from repro.x86.locations import Loc, MemLoc, make_reader, parse_loc
 from repro.x86.program import Program
 from repro.x86.signals import Signal
 from repro.x86.testcase import TestCase
+from repro.x86.vector import make_column_readers, pack_lanes, pack_states
 
 from repro.core.backends import resolve_backend
 
@@ -40,15 +45,12 @@ class Runner:
         self.backend = self._backend.name
         self._compiled = self._backend.compiled
         self._emulator = None if self._compiled else Emulator()
-        # Vector fast path: live-outs are read straight from the lane
-        # arrays (one C-level row conversion per location instead of one
-        # reader call per test), and the batch executes from cached
-        # pristine pack images rather than pooled scalar states.
-        if self.backend == "vector":
-            from repro.x86.vector import make_column_readers
-            self._column_readers = make_column_readers(self.live_outs)
-        else:
-            self._column_readers = None
+        # Lane-array fast path: live-outs are read straight from the lane
+        # arrays (one row operation per location instead of one reader
+        # call per test), and the batch executes from cached pristine
+        # pack images rather than pooled scalar states.
+        self._column_readers = (make_column_readers(self.live_outs)
+                                if self._backend.lane_arrays else None)
         self._pack_cache = None
         # Precompiled per-location readers: location resolution happens
         # here, once, instead of on every execution's read-back.
@@ -175,14 +177,62 @@ class Runner:
             return []
         readers = self._column_readers
         if len(readers) == 1:
-            column = readers[0](ctx, states)
+            column = readers[0](ctx, states).tolist()
             return [(None, signal) if signal is not None
                     else ((column[j],), None)
                     for j, signal in enumerate(signals)]
-        columns = [read(ctx, states) for read in readers]
+        columns = [read(ctx, states).tolist() for read in readers]
         return [(None, signal) if signal is not None
                 else (tuple(column[j] for column in columns), None)
                 for j, signal in enumerate(signals)]
+
+    def run_columns(self, prepared, base: TestCase,
+                    inputs: Dict[Location, np.ndarray]
+                    ) -> Tuple[List[Optional[Signal]],
+                               Tuple[np.ndarray, ...]]:
+        """Execute once per lane of a grid of inputs.
+
+        Lane ``j`` runs ``base`` with each location in ``inputs`` set to
+        the ``j``-th bits of its uint64 column; with no inputs there is
+        one lane, ``base`` itself.  Returns the per-lane signals (None =
+        clean) and one uint64 live-out column per location, in
+        ``live_outs`` order; a signalled lane's live-out bits are
+        undefined.  Each lane starts from the state the
+        ``base.replace(loc, bits)`` chain's test case would build.
+
+        On a lane-array backend all lanes share ``base``'s template: its
+        register file is tiled and the input rows written, with no
+        scalar state per lane.  Lanes cannot share one template when the
+        program writes memory or an input is a memory location; those
+        grids, and every grid on the other backends, run one machine
+        state per lane.
+        """
+        n = len(next(iter(inputs.values()))) if inputs else 1
+        # Written in the order the replace chain's test case writes its
+        # inputs, so overlapping locations resolve the same way.
+        values = dict(base.inputs)
+        values.update(inputs)
+        template = base.template_state()
+        if (self._column_readers is not None and not prepared.writes[3]
+                and not any(isinstance(loc, MemLoc) for loc in inputs)):
+            packed = pack_lanes(template, [
+                (loc, bits) for loc, bits in values.items()
+                if isinstance(loc, Loc)], n)
+            states = [template] * n
+            signals, ctx = prepared.run_batch_columns(states, packed)
+            return signals, tuple(read(ctx, states)
+                                  for read in self._column_readers)
+        rows = {loc: column.tolist() for loc, column in inputs.items()}
+        states = []
+        for j in range(n):
+            state = template.copy()
+            for loc, bits in values.items():
+                loc.write(state, rows[loc][j] if loc in rows else bits)
+            states.append(state)
+        signals = self.execute_batch_from(prepared, states)
+        return signals, tuple(
+            np.array([read(state) for state in states], dtype=np.uint64)
+            for read in self._readers)
 
     def _packed_templates(self, tests: Sequence[TestCase]):
         """(template states, owned pack image) for a test sequence.
@@ -196,9 +246,6 @@ class Runner:
         objects are harmless here — templates are read-only to the
         vector path.
         """
-        import numpy as np
-
-        from repro.x86.vector import pack_states
         cache = self._pack_cache
         if cache is None or len(cache["tests"]) > 8192:
             cache = self._pack_cache = {

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from repro.fp.ieee754 import (
     DOUBLE,
     SINGLE,
@@ -66,6 +68,26 @@ def bits_from_ordered(index: int, fmt: Format = DOUBLE) -> int:
 def ulp_distance_bits(bits_x: int, bits_y: int, fmt: Format = DOUBLE) -> int:
     """Number of representable values separating two bit patterns (Eq 17)."""
     return abs(ordered_from_bits(bits_x, fmt) - ordered_from_bits(bits_y, fmt))
+
+
+def ulp_distance_columns(bits_x: np.ndarray, bits_y: np.ndarray,
+                         fmt: Format = DOUBLE) -> np.ndarray:
+    """:func:`ulp_distance_bits` lane by lane over uint64 columns, as float64.
+
+    The ordered keys are int64 and the difference is taken as an exact
+    uint64 (distances reach 2**64 - 2), so each lane rounds once, in the
+    final conversion, exactly as ``float(ulp_distance_bits(...))`` does.
+    """
+    def keys(bits):
+        if fmt.width == 64:
+            signed = bits.view(np.int64)
+        else:
+            signed = bits.astype(np.uint32).view(np.int32).astype(np.int64)
+        return np.where(signed < 0, -(1 << (fmt.width - 1)) - signed, signed)
+
+    x, y = keys(bits_x), keys(bits_y)
+    low, high = np.minimum(x, y), np.maximum(x, y)
+    return (high.view(np.uint64) - low.view(np.uint64)).astype(np.float64)
 
 
 def ulp_distance(x: float, y: float) -> int:

@@ -177,6 +177,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
+    # Headers and body leave in separate sends; with Nagle's algorithm
+    # on, a keep-alive client's delayed ACK would hold each body ~40 ms.
+    disable_nagle_algorithm = True
 
     # -- plumbing ---------------------------------------------------------
 

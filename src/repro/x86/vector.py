@@ -120,10 +120,10 @@ class _Lanes:
         n = len(states)
         self.n = n
         if packed is not None:
-            # Adopt a pre-packed full-state image (see :func:`pack_states`
-            # and the Runner's pack cache): ownership transfers — the
-            # caller must pass freshly gathered arrays this execution may
-            # mutate freely.
+            # Adopt a pre-packed full-state image (see :func:`pack_states`,
+            # :func:`pack_lanes` and the Runner's pack cache): ownership
+            # transfers — the caller must pass freshly gathered arrays
+            # this execution may mutate freely.
             self.gp, self.xl, self.xh = packed
         else:
             # Columns are lanes; rows (contiguous) are registers, so one
@@ -176,16 +176,45 @@ def pack_states(states: Sequence[MachineState]) -> tuple:
     return gp, xl, xh
 
 
+def pack_lanes(template: MachineState, inputs, n: int) -> tuple:
+    """``n`` lanes of one template's register file, as a ``(gp, xl,
+    xh)`` image with live-in rows overwritten.
+
+    ``inputs`` yields ``(Loc, bits)`` pairs in write order, ``bits`` a
+    uint64 column of ``n`` lanes or one int for every lane; each write
+    has :meth:`~repro.x86.locations.Loc.write`'s semantics on its row
+    (64-bit and 32-bit xmm lanes, 64-bit and zero-extending 32-bit GP).
+    The image is fresh, so an execution may adopt it.
+    """
+    from repro.x86.registers import GP64_INDEX, XMM_INDEX
+
+    gp, xl, xh = (np.repeat(rows, n, axis=1)
+                  for rows in pack_states([template]))
+    for loc, bits in inputs:
+        bits = np.asarray(bits, dtype=_U64)
+        if loc.reg in XMM_INDEX:
+            i = XMM_INDEX[loc.reg]
+            if loc.width == 64:
+                (xl if loc.lane == 0 else xh)[i] = bits
+                continue
+            row = xl if loc.lane < 2 else xh
+            shift = _U64(32 * (loc.lane & 1))
+            row[i] = (row[i] & ~(_M32U << shift)) | ((bits & _M32U) << shift)
+        else:
+            gp[GP64_INDEX[loc.reg]] = bits & _M32U if loc.width == 32 \
+                else bits
+    return gp, xl, xh
+
+
 def make_column_readers(locs) -> tuple:
-    """Compile live-out locations into ``(ctx, states) -> bits list``
+    """Compile live-out locations into ``(ctx, states) -> uint64 array``
     readers over a finished :class:`_Lanes` context.
 
     The vector analogue of :func:`repro.x86.locations.make_reader`: one
-    ``tolist`` per location converts the whole row to Python ints in a
-    single C call, instead of one closure call per test.  Register
+    row operation per location reads the whole batch.  Register
     locations read the lane arrays; memory live-outs read each lane's
     (in-place mutated) sandbox, so they go through the per-state reader.
-    Must return exactly the bits ``loc.read(state)`` would.
+    Lane ``j`` must hold exactly the bits ``loc.read(states[j])`` would.
     """
     from repro.x86.locations import MemLoc, make_reader
     from repro.x86.registers import GP64_INDEX, XMM_INDEX
@@ -195,27 +224,25 @@ def make_column_readers(locs) -> tuple:
         if isinstance(loc, MemLoc):
             read = make_reader(loc)
             readers.append(lambda ctx, states, _r=read:
-                           [_r(s) for s in states])
+                           np.array([_r(s) for s in states], dtype=_U64))
         elif loc.reg in XMM_INDEX:
             i = XMM_INDEX[loc.reg]
             if loc.width == 64:
                 attr = "xl" if loc.lane == 0 else "xh"
                 readers.append(lambda ctx, states, _i=i, _a=attr:
-                               getattr(ctx, _a)[_i].tolist())
+                               getattr(ctx, _a)[_i])
             else:
                 attr = "xl" if loc.lane < 2 else "xh"
                 shift = _U64(32 * (loc.lane & 1))
                 readers.append(lambda ctx, states, _i=i, _a=attr, _s=shift:
-                               ((getattr(ctx, _a)[_i] >> _s)
-                                & _M32U).tolist())
+                               (getattr(ctx, _a)[_i] >> _s) & _M32U)
         else:
             i = GP64_INDEX[loc.reg]
             if loc.width == 32:
                 readers.append(lambda ctx, states, _i=i:
-                               (ctx.gp[_i] & _M32U).tolist())
+                               ctx.gp[_i] & _M32U)
             else:
-                readers.append(lambda ctx, states, _i=i:
-                               ctx.gp[_i].tolist())
+                readers.append(lambda ctx, states, _i=i: ctx.gp[_i])
     return tuple(readers)
 
 

@@ -1,16 +1,22 @@
 """Tests for the cost function (Equations 9-11, Section 5.2)."""
 
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.fp.ieee754 import double_to_bits
+from repro.fp.ieee754 import DOUBLE, SINGLE, double_to_bits
+from repro.fp.ulp import bits_from_ordered
 from repro.x86.assembler import assemble
 from repro.x86.locations import MemLoc, parse_loc
 from repro.x86.testcase import TestCase, uniform_testcases
 
-from repro.core.cost import CostConfig, CostFunction, location_ulp_distance
+from repro.core.cost import (CostConfig, CostFunction, location_ulp_distance,
+                             location_ulp_distance_columns)
 
 
 def make_cost(target_asm, eta=0.0, k=1.0, **kwargs):
@@ -141,6 +147,83 @@ class TestLocationDistance:
     def test_memloc_f32(self):
         loc = MemLoc("seg", 0, "f32")
         assert location_ulp_distance(loc, 0x3F800000, 0x3F800002) == 2.0
+
+
+# One location per measure and width: ULP' over doubles and singles,
+# Hamming distance over 64- and 32-bit integers.
+COLUMN_LOCS = {64: (parse_loc("xmm0"), parse_loc("rax")),
+               32: (parse_loc("xmm0:s1"), parse_loc("eax"))}
+
+# ±0, ±inf, denormals, NaN payloads of both signs, the largest finite
+# values and the all-ones patterns.
+EDGE_BITS = {
+    64: (0x0, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+         0x1, 0x8000000000000001, 0x000FFFFFFFFFFFFF, 0x800FFFFFFFFFFFFF,
+         0x7FF8000000000001, 0xFFF8000000000001, 0x7FF0000000000001,
+         0xFFF0000000000001, 0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF,
+         0x7FFFFFFFFFFFFFFF, 0xFFFFFFFFFFFFFFFF),
+    32: (0x0, 0x80000000, 0x7F800000, 0xFF800000, 0x1, 0x80000001,
+         0x007FFFFF, 0x807FFFFF, 0x7FC00001, 0xFFC00001, 0x7F800001,
+         0xFF800001, 0x7F7FFFFF, 0xFF7FFFFF, 0x7FFFFFFF, 0xFFFFFFFF),
+}
+
+
+def _assert_columns_match(loc, pairs):
+    a = np.array([x for x, _ in pairs], dtype=np.uint64)
+    b = np.array([y for _, y in pairs], dtype=np.uint64)
+    column = location_ulp_distance_columns(loc, a, b)
+    assert column.dtype == np.float64
+    assert column.tolist() == [location_ulp_distance(loc, x, y)
+                               for x, y in pairs]
+
+
+class TestLocationDistanceColumns:
+    """The column distance equals the scalar one lane by lane."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_scalar_lane_by_lane(self, data):
+        width = data.draw(st.sampled_from((64, 32)))
+        bits = st.integers(0, (1 << width) - 1) | st.sampled_from(
+            EDGE_BITS[width])
+        pairs = data.draw(st.lists(st.tuples(bits, bits), max_size=40))
+        for loc in COLUMN_LOCS[width]:
+            _assert_columns_match(loc, pairs)
+
+    @pytest.mark.parametrize("width", (64, 32))
+    def test_edge_patterns(self, width):
+        pairs = list(itertools.product(EDGE_BITS[width], repeat=2))
+        for loc in COLUMN_LOCS[width]:
+            _assert_columns_match(loc, pairs)
+
+    def test_extreme_pair_is_exact_before_conversion(self):
+        # The two patterns furthest apart: 2**64 - 2 ULPs, which rounds
+        # to 2**64 only in the final float conversion.
+        loc = parse_loc("xmm0")
+        _assert_columns_match(
+            loc, [(0x7FFFFFFFFFFFFFFF, 0xFFFFFFFFFFFFFFFF)])
+        assert location_ulp_distance(
+            loc, 0x7FFFFFFFFFFFFFFF, 0xFFFFFFFFFFFFFFFF) == 2.0 ** 64
+
+    @pytest.mark.parametrize("fmt, loc", [(DOUBLE, "xmm0"),
+                                          (SINGLE, "xmm0:s1")])
+    def test_distances_where_the_conversion_rounds(self, fmt, loc):
+        # Just above 2**53 float64 spacing exceeds 1, and just above
+        # 2**63 the pair straddles the sign of the ordered keys.
+        top = 1 << (fmt.width - 1)
+        pairs = []
+        for distance in ((1 << 53) + 1, (1 << 53) + 3, (1 << 63) + 1,
+                         (1 << 63) + 3, (1 << 64) - 3):
+            start = max(-top + 1, min(top - 1 - distance, -distance // 2))
+            end = start + distance
+            if end >= top:
+                continue  # wider than the format's value set
+            pairs.append((bits_from_ordered(start, fmt),
+                          bits_from_ordered(end, fmt)))
+        for start in (-top + 1, -1, 0, top - 4):
+            pairs.append((bits_from_ordered(start, fmt),
+                          bits_from_ordered(min(start + 3, top - 1), fmt)))
+        _assert_columns_match(parse_loc(loc), pairs)
 
 
 class TestMemoryLiveOuts:

@@ -3,6 +3,7 @@ wire, the agent lease RPCs with owner guards, checkpoint sync, and the
 SSE progress feed.  No real job execution — jobs are completed through
 the same RPCs a fleet agent uses."""
 
+import http.client
 import json
 import threading
 import time
@@ -32,6 +33,23 @@ class TestRest:
     def test_health(self, service):
         _server, client, _root = service
         assert client.health()["ok"] is True
+
+    def test_keep_alive_requests_do_not_stall(self, service):
+        # With Nagle's algorithm on, each response body waits for the
+        # client's delayed ACK: about 40 ms per request after the first.
+        server, _client, _root = service
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=5)
+        try:
+            start = time.perf_counter()
+            for _ in range(12):
+                conn.request("GET", "/v1/health")
+                response = conn.getresponse()
+                assert json.loads(response.read())["ok"] is True
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.2, f"12 keep-alive requests took {elapsed:.3f}s"
 
     def test_submit_job_dedupes(self, service):
         _server, client, _root = service

@@ -18,6 +18,7 @@ import random
 import pytest
 
 from repro.x86.assembler import assemble
+from repro.x86.memory import Segment
 from repro.x86.testcase import TestCase
 
 from repro.core.serialize import canonical_json
@@ -26,7 +27,8 @@ from repro.verify import exhaustive_check
 from repro.verify.bnb import BnBCheckpoint, BnBConfig, BnBVerifier
 from repro.verify.partition import BitBox, covered_seed_count
 
-from tests.verify.conftest import interpretive_search, without_prefix_sharing
+from tests.verify.conftest import (exhaustive_oracle, interpretive_search,
+                                   without_prefix_sharing)
 
 REDUCED_DEGREE = {"sin": 9, "cos": 8, "tan": 9, "log": 12, "exp": 8}
 
@@ -314,21 +316,121 @@ def _cex_inputs(result):
     return dict(result.counterexample.inputs)
 
 
+def _grid_cases():
+    """(target, rewrite, live_outs, ranges, base factory, bits, max_ulps)
+    per exhaustive grid shape the backends must agree on."""
+    target, rewrite = _poly_pair()
+    empty = lambda: TestCase({})  # noqa: E731
+    return {
+        "poly": (target, rewrite, ["xmm0"], {"xmm0": (0.5, 2.0)}, empty,
+                 8, 0.0),
+        # The first counterexample is grid point (0, 3); with the first
+        # input varying fastest it would be (6, 0).
+        "two-inputs": (
+            assemble("addsd xmm1, xmm0\nmovq $0.1d, xmm2\n"
+                     "addsd xmm2, xmm0"),
+            assemble("movq $0.1d, xmm2\naddsd xmm2, xmm1\n"
+                     "addsd xmm1, xmm0"),
+            ["xmm0"], {"xmm0": (0.5, 2.0), "xmm1": (-1.0, 3.0)}, empty,
+            5, 1.0),
+        # The base test's xmm0:s1 comes after xmm0 in its inputs, so it
+        # overwrites the high half of every grid point.
+        "overlapping-inputs": (
+            target, rewrite, ["xmm0"], {"xmm0": (0.5, 2.0)},
+            lambda: TestCase({"xmm0": 0, "xmm0:s1": 0x3FF00000}), 6, 0.0),
+        "f32": (assemble("sqrtss xmm0, xmm1\nmulss xmm1, xmm1"),
+                assemble("movss xmm0, xmm1"),
+                ["xmm1:s0"], {"xmm0:s0": (0.5, 3.0)}, empty, 8, 0.0),
+        # Negative inputs truncate and wrap to 32 bits; the eax input
+        # overwrites (and zero-extends over) the base test's rax.
+        "gp32": (assemble("imul eax, eax\nadd $7, eax"),
+                 assemble("imul eax, eax\nshl $1, eax"),
+                 ["eax"], {"eax": (-50.0, 50.0)},
+                 lambda: TestCase({"rax": 0xFFFFFFFF12345678}), 6, 7.0),
+        "zero-bits": (target, rewrite, ["xmm0"], {"xmm0": (0.5, 2.0)},
+                      empty, 0, 0.0),
+        # Lanes where both programs fault are skipped; where only one
+        # faults, the error is infinite.
+        "faults-some-lanes": (
+            assemble("movsd 8(rax), xmm0"), assemble("movsd (rax), xmm0"),
+            ["xmm0"], {"rax": (16320.0, 16512.0)},
+            lambda: TestCase({}, [Segment("table", 0x4000, bytes(range(64)),
+                                          writable=False)]),
+            6, 0.0),
+        # Both programs fault on the same lanes, where the target has
+        # already written xmm0: those lanes count as no error.
+        "same-faults": (
+            assemble("movq $1.0d, xmm0\nmovsd (rax), xmm0"),
+            assemble("movsd (rax), xmm0"),
+            ["xmm0"], {"rax": (16320.0, 16512.0)},
+            lambda: TestCase({}, [Segment("table", 0x4000, bytes(range(64)),
+                                          writable=False)]),
+            6, 0.0),
+        # The rewrite stores, so each of its lanes needs its own
+        # writable segment; the target's lanes share one template.
+        "writes-memory": (
+            target,
+            assemble("movsd xmm0, (rbx)\nmovq $1.1d, xmm1\n"
+                     "mulsd (rbx), xmm1\nmovsd xmm1, xmm0"),
+            ["xmm0", "[buf+0]:f64"], {"xmm0": (0.5, 2.0)},
+            lambda: TestCase({"rbx": 0x4000}, [
+                Segment("buf", 0x4000, bytes(64), writable=True)]),
+            6, 4.6085e18),
+        # min(x, 0.75) against x: the first counterexample lies past the
+        # first 4,096-lane chunk.
+        "past-first-chunk": (
+            assemble("movq $0.75d, xmm1"),
+            assemble("movq $0.75d, xmm1\nminsd xmm1, xmm0"),
+            ["xmm0"], {"xmm0": (0.0, 1.0)}, empty, 13, 0.0),
+    }
+
+
+# 16-bit maxima of the libimf pairs (the end-to-end check workload's
+# pins) and the first counterexample at one threshold per kernel,
+# recorded with the per-case loop the column pipeline replaced.
+LIBIMF_GRID_PINS = {
+    "cos": (276529152.0, 1e6, {"xmm0:d": 0xBFF941B154157EEE}),
+    "exp": (6973.0, 6900.0, {"xmm0:d": 0xC02389DF89DF89E0}),
+    "log": (5358958.0, 3e6, {"xmm0:d": 0x3FEE104A5A04B83A}),
+    # sin's largest error is at grid index 0, so any lower threshold
+    # stops there; at its maximum nothing exceeds it.
+    "sin": (8.778595490226544e+18, 8.778595490226544e+18, None),
+    "tan": (369.0, 350.0, {"xmm0:d": 0xBFF7FFCFFFCFFFD0}),
+}
+
+
 class TestExhaustiveBackends:
     def test_backends_agree_bit_for_bit(self):
-        target, rewrite = _poly_pair()
-        ranges = {"xmm0": (0.5, 2.0)}
-        results = {
-            backend: exhaustive_check(target, rewrite, ["xmm0"], ranges,
-                                      lambda: TestCase({}),
-                                      bits_per_input=8, backend=backend)
-            for backend in ("emulator", "jit", "vector")
-        }
-        baseline = results["emulator"]
-        for backend, result in results.items():
-            assert result.max_ulps == baseline.max_ulps, backend
-            assert result.cases_checked == baseline.cases_checked, backend
-            assert _cex_inputs(result) == _cex_inputs(baseline), backend
+        for case, (target, rewrite, live_outs, ranges, base, bits,
+                   max_ulps) in _grid_cases().items():
+            oracle = exhaustive_oracle(target, rewrite, live_outs, ranges,
+                                       base, bits_per_input=bits,
+                                       max_ulps=max_ulps)
+            for backend in ("emulator", "jit", "vector"):
+                result = exhaustive_check(target, rewrite, live_outs, ranges,
+                                          base, bits_per_input=bits,
+                                          max_ulps=max_ulps, backend=backend)
+                where = (case, backend)
+                assert result.max_ulps == oracle.max_ulps, where
+                assert result.cases_checked == oracle.cases_checked, where
+                assert _cex_inputs(result) == _cex_inputs(oracle), where
+
+    @pytest.mark.parametrize("name", sorted(LIBIMF_GRID_PINS))
+    def test_libimf_grid_pins(self, name):
+        worst, threshold, cex = LIBIMF_GRID_PINS[name]
+        factory = LIBIMF_KERNELS[name]
+        spec = factory()
+        result = exhaustive_check(spec.program,
+                                  factory(REDUCED_DEGREE[name]).program,
+                                  spec.live_outs, dict(spec.ranges),
+                                  spec.base_testcase, bits_per_input=16,
+                                  max_ulps=threshold)
+        assert result.max_ulps == worst
+        assert result.cases_checked == 1 << 16
+        inputs = _cex_inputs(result)
+        if inputs is not None:
+            inputs = {str(loc): bits for loc, bits in inputs.items()}
+        assert inputs == cex
 
     def test_default_backend_is_vector(self):
         import inspect
