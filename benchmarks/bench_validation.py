@@ -3,15 +3,11 @@
 Paper: MCMC validation converges in under 100M proposals with runtimes
 under a minute; the termination test is the Geweke diagnostic.
 
-The block benchmarks cover speculative block evaluation
-(``Validator.err_block`` / ``ValidationConfig.max_block``): proposals
-are evaluated through one batched executor call per block instead of
-two executions per sample, and the chain un-speculates nothing for
-independent-draw strategies (``rand``) while MCMC pays only for the
-samples a Geweke break discards.
+The block benchmarks cover ``Validator.err_block``, the validator's one
+evaluator: each block runs through one batched executor call per
+program.  Independent-draw strategies (``rand``) evaluate
+``UNIFORM_BLOCK`` proposals per block; chain strategies (``mcmc``) one.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,17 +85,15 @@ def test_err_block_evaluation(benchmark, block):
 
 
 @pytest.mark.parametrize("strategy", ("rand", "mcmc"))
-@pytest.mark.parametrize("max_block", (1, 64), ids=("scalar", "block"))
-def test_validation_block_throughput(benchmark, strategy, max_block):
-    """Whole validation runs, speculative block vs scalar dispatch."""
+def test_validation_block_throughput(benchmark, strategy):
+    """Whole validation runs at each strategy's block size."""
     validator = _validator()
     config = ValidationConfig(
         max_proposals=VALIDATION_PROPOSALS, min_samples=500,
-        check_interval=250, seed=2, max_block=max_block)
+        check_interval=250, seed=2)
 
     def validate():
-        return validator.validate(replace(config),
-                                  make_validation_strategy(strategy))
+        return validator.validate(config, make_validation_strategy(strategy))
 
     result = one_shot(benchmark, validate)
     benchmark.extra_info.update({

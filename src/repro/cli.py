@@ -138,8 +138,6 @@ def _verify_setup(args):
     Returns (target, rewrite, live_outs, ranges, validation_ranges,
     memory, concrete_gp, base_testcase_factory).
     """
-    from repro.x86.memory import Memory
-
     if args.kernel:
         if args.programs and len(args.programs) > 1:
             raise SystemExit("--kernel takes at most one program file "
@@ -147,15 +145,15 @@ def _verify_setup(args):
         rewrite_path = args.programs[0] if args.programs else None
         if args.kernel == "delta":
             from repro.kernels.aek import vector as V
+            from repro.service.jobs import verify_environment
 
             spec = V.delta_kernel()
             rewrite = _load_program(rewrite_path) if rewrite_path \
                 else V.delta_rewrite()
-            ranges = dict(spec.ranges)
-            ranges.update(V.delta_mem_ranges())
+            memory, concrete_gp, ranges = verify_environment("delta")
             return (spec.program, rewrite, list(spec.live_outs), ranges,
-                    dict(spec.ranges), Memory(V.aek_segments()),
-                    dict(V.CONCRETE_GP_INDICES), spec.base_testcase)
+                    dict(spec.ranges), memory, concrete_gp,
+                    spec.base_testcase)
         from repro.kernels.libimf import LIBIMF_KERNELS
 
         if args.kernel not in LIBIMF_KERNELS:

@@ -227,27 +227,6 @@ class CostFunction:
             return math.log2(1.0 + excess)
         return excess
 
-    def err_fast(self, outputs: Optional[Dict[Location, int]],
-                 expected: Dict[Location, int],
-                 signalled: bool) -> float:
-        """Per-test-case error (Equation 9) against precomputed outputs."""
-        cfg = self.config
-        if signalled or outputs is None:
-            return cfg.ws
-        total = 0.0
-        for loc, want in expected.items():
-            if loc not in outputs:
-                raise KeyError(
-                    f"live-out location {loc} is missing from the outputs "
-                    f"of the {self.runner.backend!r} backend run; outputs "
-                    f"cover [{', '.join(str(k) for k in outputs)}]. The "
-                    "rewrite was likely executed through a Runner with "
-                    "different live-outs than this cost function's.")
-            ulps = location_ulp_distance(loc, outputs[loc], want)
-            weight = cfg.wm if isinstance(loc, MemLoc) else cfg.wr
-            total += weight * self._excess(ulps)
-        return total
-
     def _err_values(self, values: Tuple[int, ...],
                     expected: Tuple[int, ...]) -> float:
         """Equation 9 over aligned live-out bits tuples (hot path)."""

@@ -65,10 +65,6 @@ class Runner:
         """Pre-process a program for repeated execution."""
         return self._backend.prepare(program)
 
-    def read_values(self, state) -> Tuple[int, ...]:
-        """Live-out bit patterns of a state, in ``live_outs`` order."""
-        return tuple(read(state) for read in self._readers)
-
     def run(self, prepared, test: TestCase
             ) -> Tuple[Optional[Dict[Location, int]], Optional[Signal]]:
         """Execute and return ({location: bits}, None) or (None, signal)."""
@@ -274,8 +270,8 @@ class Runner:
         return states, packed
 
     def values_of(self, state) -> Tuple[int, ...]:
-        """Live-out bits of an already-executed state (hot-path variant
-        of :meth:`read_values` with the single-reader fast path)."""
+        """Live-out bit patterns of an already-executed state, in
+        ``live_outs`` order."""
         read_one = self._single_reader
         if read_one is not None:
             return (read_one(state),)

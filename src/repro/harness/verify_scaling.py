@@ -46,6 +46,12 @@ def run_bits_sweep(bits_list=(8, 10, 12, 14, 16, 18)
     cases a check's fixed cost hides the doubling per bit.
     """
     spec = sin_kernel()
+    # One untimed check first: the process's one-time costs (about 1 ms,
+    # as much as a whole small grid) would otherwise land in the first
+    # point and hide the growth.
+    exhaustive_check(spec.program, spec.program, spec.live_outs,
+                     dict(spec.ranges), lambda: TestCase({}),
+                     bits_per_input=0)
     points = []
     for bits in bits_list:
         start = time.perf_counter()

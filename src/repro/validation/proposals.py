@@ -53,9 +53,9 @@ class TestCaseProposer:
         self.mu = mu
         self._sigmas = {loc: spec.width * sigma_fraction
                         for loc, spec in self.ranges.items()}
-        # One-entry decode cache: speculative block evaluation draws many
-        # proposals from the same ``current``, and decoding its live-ins
-        # once per draw was a measurable share of the chain's runtime.
+        # One-entry decode cache: during a rejection streak every draw
+        # comes from the same ``current``, and decoding its live-ins once
+        # per draw was a measurable share of the chain's runtime.
         self._decoded: Tuple[Optional[TestCase], Dict] = (None, {})
 
     def _values_of(self, current: TestCase) -> Dict:

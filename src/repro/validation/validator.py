@@ -50,21 +50,11 @@ class ValidationConfig:
     seed: int = 0
     trace_points: int = 64
     keep_chain: bool = False
-    # Upper bound on the speculative evaluation block (see
-    # :meth:`Validator.validate`).  1 disables speculation and evaluates
-    # one proposal per executor call, exactly as the scalar chain did.
-    # None (the default) speculates only for strategies whose proposals
-    # are independent of the chain state (``uniform_proposals``), where
-    # blocking provably cannot change the realized sample stream; chain
-    # strategies stay scalar unless a block size is set explicitly,
-    # because their realized path (same chain law, different draws)
-    # depends on the block size.
-    max_block: Optional[int] = None
 
 
-# Block size used when max_block is None and the strategy's proposals
-# are chain-independent (pure batching, bit-identical results).
-DEFAULT_UNIFORM_BLOCK = 64
+# Proposals per evaluation block of a ``uniform_proposals`` strategy; the
+# block size cannot change such a run's results (see Validator.validate).
+UNIFORM_BLOCK = 64
 
 
 @dataclass
@@ -81,9 +71,8 @@ class ValidationResult:
     # Log-compressed error chain, kept when config.keep_chain is set
     # (used by the multi-chain R-hat diagnostic).
     chain: Optional[List[float]] = None
-    # Speculative-block accounting: proposals actually executed vs.
-    # executed-but-discarded (drawn after an accept invalidated the rest
-    # of their block, or after the Geweke break).
+    # Proposals executed, and those of them never consumed: the tail of a
+    # uniform-proposal block drawn past the Geweke break.
     evaluations: int = 0
     wasted: int = 0
 
@@ -104,10 +93,10 @@ class ValidationResult:
 class ValidationCheckpoint:
     """Exact mid-chain state of one validation run.
 
-    Captured at speculative-block boundaries, where the chain state is
+    Captured at evaluation-block boundaries, where the chain state is
     consistent; resuming reproduces the uninterrupted run's sample
-    stream bit-for-bit (the RNG state, the chain's current point, and
-    the EWMA block-sizing state are all part of the capture).  Test
+    stream bit-for-bit (the RNG state and the chain's current point are
+    part of the capture).  Test
     cases serialize as live-in bits only — memory segments are
     reconstructed from the validator's base test case on resume.
     """
@@ -122,7 +111,6 @@ class ValidationCheckpoint:
     z_scores: List[Tuple[int, float]]
     trace: List[Tuple[int, float]]
     evaluations: int
-    accept_rate: float
     # Config echo checked by resume.
     seed: int = 0
     max_proposals: int = 0
@@ -143,7 +131,6 @@ class ValidationCheckpoint:
             "z_scores": [[i, S.enc_float(z)] for i, z in self.z_scores],
             "trace": [[i, S.enc_float(e)] for i, e in self.trace],
             "evaluations": self.evaluations,
-            "accept_rate": self.accept_rate,
             "seed": self.seed,
             "max_proposals": self.max_proposals,
         }
@@ -165,7 +152,6 @@ class ValidationCheckpoint:
             z_scores=[(int(i), S.dec_float(z)) for i, z in data["z_scores"]],
             trace=[(int(i), S.dec_float(e)) for i, e in data["trace"]],
             evaluations=int(data["evaluations"]),
-            accept_rate=float(data["accept_rate"]),
             seed=int(data["seed"]),
             max_proposals=int(data["max_proposals"]),
         )
@@ -182,52 +168,60 @@ class MultiChainResult:
 
 
 class _ProposalStates:
-    """Reusable machine states for speculative validation blocks.
+    """The validator's machine states, one per slot of an evaluation block.
 
     Validation proposals are throwaway test cases: each is executed twice
-    (target, rewrite) and discarded, so the per-test pooled-state
-    machinery of :class:`TestCase` pays a fresh ``build_state`` per
-    proposal — about half the validator's runtime.  This pool instead
-    keeps one pristine state per block slot (no live-ins applied) and,
-    per use, resets only the slots the two programs can have dirtied
-    (their union write set on compiled backends, which never write the
-    status flags; a full restore on the emulator) before writing the
-    proposal's live-in values directly.
-    All proposals drawn from one base test case share its segments, so
-    the pristine image never changes.
+    (target, rewrite) and discarded, so giving each its own machine state
+    (:meth:`TestCase.pooled_state` builds a template, a copy and a
+    snapshot per test case) would cost about half the validator's
+    runtime.  The pool instead keeps one pristine state per block slot,
+    built from a test case's segments with no live-ins applied, plus its
+    snapshot.  Each use resets only what the two programs can have
+    dirtied (their union write set on compiled backends, which never
+    write the status flags; a full restore on the emulator), then writes
+    the test's live-in values directly.
+
+    A slot is rebuilt when its test's segments are not the ones it was
+    built from, and restored in full when its test writes other live-in
+    locations than the slot's previous test did (the write-set reset
+    would leave the old ones in place).  A chain's proposals share their
+    base test case's segments and live-in locations, so neither happens
+    on the hot path.
     """
 
-    __slots__ = ("segments", "_writes", "_states", "_snapshots")
+    __slots__ = ("_writes", "_slots")
 
-    def __init__(self, segments, writes):
-        self.segments = segments
+    def __init__(self, writes):
         self._writes = writes  # union write set, or None => full restore
-        self._states: List[MachineState] = []
-        self._snapshots: List[tuple] = []
-
-    def _grow(self) -> None:
-        mem = Memory(seg.copy() if seg.writable else seg
-                     for seg in self.segments)
-        state = MachineState(mem)
-        self._states.append(state)
-        # Snapshots are per-state: a memory snapshot restores into the
-        # segment objects it was captured from.
-        self._snapshots.append(state.snapshot())
+        # Per slot: [segments, live-in locations last written, state,
+        # snapshot].  Snapshots are per state: a memory snapshot restores
+        # into the segment objects it was captured from.
+        self._slots: List[list] = []
 
     def states_for(self, tests: Sequence[TestCase]) -> List[MachineState]:
         """One reset state per test, live-ins applied, aligned with
         ``tests``.  Valid until the next ``states_for`` call."""
-        while len(self._states) < len(tests):
-            self._grow()
+        slots = self._slots
         writes = self._writes
         out = []
         for index, test in enumerate(tests):
-            state = self._states[index]
-            if writes is None:
-                state.restore(self._snapshots[index])
+            if index == len(slots):
+                slots.append([None, None, None, None])
+            slot = slots[index]
+            segments = test.segments
+            if segments is not slot[0]:
+                state = MachineState(Memory(
+                    seg.copy() if seg.writable else seg for seg in segments))
+                slot[:] = segments, None, state, state.snapshot()
+            inputs = test.inputs
+            locations = tuple(inputs)
+            _, written, state, snapshot = slot
+            if writes is None or locations != written:
+                state.restore(snapshot)
+                slot[1] = locations
             else:
-                state.restore_slots(self._snapshots[index], *writes)
-            for loc, bits in test.inputs.items():
+                state.restore_slots(snapshot, *writes)
+            for loc, bits in inputs.items():
                 loc.write(state, bits)
             out.append(state)
         return out
@@ -250,50 +244,28 @@ class Validator:
         self._rewrite = self.runner.prepare(rewrite)
         self.ranges = ranges
         self.base_testcase_factory = base_testcase_factory
-        self._pool: Optional[_ProposalStates] = None
+        writes = None
+        if resolve_backend(self.runner.backend).compiled:
+            writes = union_writes(self._target.writes, self._rewrite.writes)
+        self._pool = _ProposalStates(writes)
 
     def err(self, test: TestCase) -> float:
-        """Equation 13: summed ULP distance plus the signal term.
-
-        Both executions reuse the test case's pooled machine state (the
-        rewrite run resets it in place after the target run), and read
-        live-outs through the Runner's precompiled readers — this is the
-        validator's innermost loop, one call per input-space proposal.
-        """
-        t_out, t_sig = self.runner.run_values(self._target, test)
-        r_out, r_sig = self.runner.run_values(self._rewrite, test)
-        if t_sig is not None:
-            # The target itself traps: treat as divergent only if the
-            # rewrite behaves differently.
-            return 0.0 if r_sig == t_sig else SIGNAL_ERR
-        if r_sig is not None:
-            return SIGNAL_ERR
-        total = 0.0
-        for loc, r_bits, t_bits in zip(self.runner.live_outs, r_out, t_out):
-            total += location_ulp_distance(loc, r_bits, t_bits)
-        return total
+        """Equation 13 on one test case: a block of one."""
+        return self.err_block([test])[0]
 
     def err_block(self, tests: Sequence[TestCase]) -> List[float]:
-        """Equation 13 over a block of test cases in two batched calls.
+        """Equation 13 per test case: the summed live-out ULP distance,
+        or the signal term when either program traps.
 
-        Compiled backends execute the whole block in one prepared-program
-        call per program (one compiled function on the JIT, one
-        vectorized pass on the vector backend) instead of one call per
-        (program, test) pair, over the validator's own proposal-state
-        pool; results are bit-identical to per-test :meth:`err`.
+        This is the validator's one evaluator and its innermost loop.
+        Each program runs on the whole block in one batched call (one
+        compiled function on the JIT, one vectorized pass on the vector
+        backend, per-state dispatch on the emulator) over the
+        proposal-state pool, so no test case builds a machine state of
+        its own.
         """
-        pool = self._pool
-        if pool is None:
-            writes = None
-            if resolve_backend(self.runner.backend).compiled:
-                writes = union_writes(self._target.writes,
-                                      self._rewrite.writes)
-            pool = self._pool = _ProposalStates(tests[0].segments, writes)
-        if any(test.segments is not pool.segments for test in tests):
-            # Foreign segments (tests not descended from this chain's
-            # base test case): the pristine pool images don't apply.
-            return self._err_block_generic(tests)
         runner = self.runner
+        pool = self._pool
         states = pool.states_for(tests)
         t_signals = runner.execute_batch_from(self._target, states)
         t_values = [None if signal is not None else runner.values_of(state)
@@ -305,30 +277,13 @@ class Validator:
         for state, t_out, t_sig, r_sig in zip(states, t_values, t_signals,
                                               r_signals):
             if t_sig is not None:
+                # The target itself traps: divergent only if the rewrite
+                # behaves differently.
                 errs.append(0.0 if r_sig == t_sig else SIGNAL_ERR)
             elif r_sig is not None:
                 errs.append(SIGNAL_ERR)
             else:
                 r_out = runner.values_of(state)
-                total = 0.0
-                for loc, r_bits, t_bits in zip(live_outs, r_out, t_out):
-                    total += location_ulp_distance(loc, r_bits, t_bits)
-                errs.append(total)
-        return errs
-
-    def _err_block_generic(self, tests: Sequence[TestCase]) -> List[float]:
-        """:meth:`err_block` over the tests' own pooled states (slow
-        path for test cases with foreign memory segments)."""
-        t_results = self.runner.run_batch(self._target, tests)
-        r_results = self.runner.run_batch(self._rewrite, tests)
-        live_outs = self.runner.live_outs
-        errs = []
-        for (t_out, t_sig), (r_out, r_sig) in zip(t_results, r_results):
-            if t_sig is not None:
-                errs.append(0.0 if r_sig == t_sig else SIGNAL_ERR)
-            elif r_sig is not None:
-                errs.append(SIGNAL_ERR)
-            else:
                 total = 0.0
                 for loc, r_bits, t_bits in zip(live_outs, r_out, t_out):
                     total += location_ulp_distance(loc, r_bits, t_bits)
@@ -344,26 +299,15 @@ class Validator:
                  ) -> ValidationResult:
         """Run the input-space chain until mixed or out of budget.
 
-        Proposals are evaluated in speculative blocks: a block of inputs
-        is drawn from ``q(. | current)`` up front and executed in two
-        batched calls (:meth:`err_block`), then consumed sequentially by
-        the Metropolis-Hastings loop.  An accept changes the chain state,
-        so the rest of the block — drawn conditioned on the *old* current
-        — is discarded; every consumed proposal therefore sees exactly
-        the distribution the scalar chain would have drawn, and the chain
-        law is unchanged.  The block size tracks the reciprocal of an
-        exponentially weighted acceptance-rate estimate — the expected
-        rejection streak length — capped at ``config.max_block``, so
-        speculation only grows where rejection streaks make the batched
-        evaluation profitable.
-
-        Strategies with ``uniform_proposals`` (random testing) draw
-        independently of the chain state, so an accept invalidates
-        nothing: their blocks are always full-sized and fully consumed,
-        and blocking cannot change the realized sample stream (their
-        ``accept`` never consumes randomness).  Chain strategies *do*
-        realize a different path per block size (same chain law), so
-        ``max_block=None`` keeps them scalar unless explicitly raised.
+        Proposals are drawn from ``q(. | current)``, evaluated a block at
+        a time by :meth:`err_block`, and consumed in order by the
+        acceptance loop; the initial point is a block of one.  A chain
+        strategy's block holds one proposal, because its next draw
+        depends on whether this one is accepted.  Strategies with
+        ``uniform_proposals`` (random testing) draw independently of the
+        chain state and their ``accept`` consumes no randomness, so they
+        evaluate :data:`UNIFORM_BLOCK` proposals per block and realize
+        the same sample stream as they would one proposal at a time.
         """
         strategy = strategy if strategy is not None else ValidationMcmc()
         rng = random.Random(config.seed)
@@ -388,12 +332,10 @@ class Validator:
             z_scores = list(resume.z_scores)
             trace = list(resume.trace)
             evaluations = resume.evaluations
-            accept_rate = resume.accept_rate
             iteration = resume.iteration
-            samples = iteration
         else:
             current = proposer.initial(rng, base)
-            current_err = self.err(current)
+            current_err, = self.err_block([current])
             max_err, argmax = current_err, current
             # The Geweke diagnostic runs on log-compressed errors: the raw
             # error spans ~19 decades, which would let a single spike
@@ -401,24 +343,15 @@ class Validator:
             chain = [math.log1p(current_err)]
             z_scores = []
             trace = [(0, max_err)]
-            samples = 0
             evaluations = 0
-            # Exponentially weighted acceptance-rate estimate; the block
-            # is sized to the expected rejection streak (1 / p-hat).  The
-            # prior of 0.5 starts the chain scalar and lets rejection
-            # streaks grow the block as evidence accumulates.
-            accept_rate = 0.5
             iteration = 0
         trace_stride = max(1, config.max_proposals
                            // max(1, config.trace_points))
         converged = False
-        ewma = 0.05
-        independent = strategy.uniform_proposals
-        draw = (proposer.propose_uniform if independent
-                else proposer.propose)
-        max_block = config.max_block
-        if max_block is None:
-            max_block = DEFAULT_UNIFORM_BLOCK if independent else 1
+        if strategy.uniform_proposals:
+            draw, block = proposer.propose_uniform, UNIFORM_BLOCK
+        else:
+            draw, block = proposer.propose, 1
 
         last_checkpoint = iteration
         while iteration < config.max_proposals and not converged:
@@ -439,32 +372,20 @@ class Validator:
                     z_scores=list(z_scores),
                     trace=list(trace),
                     evaluations=evaluations,
-                    accept_rate=accept_rate,
                     seed=config.seed,
                     max_proposals=config.max_proposals,
                 ))
-            if independent:
-                block = max_block
-            else:
-                block = min(max_block,
-                            max(1, int(1.0 / max(accept_rate,
-                                                 1.0 / max_block))))
-            size = min(block, config.max_proposals - iteration)
-            proposals = [draw(rng, current) for _ in range(size)]
-            errs = (self.err_block(proposals) if size > 1
-                    else [self.err(proposals[0])])
-            evaluations += size
+            proposals = [draw(rng, current) for _ in
+                         range(min(block, config.max_proposals - iteration))]
+            errs = self.err_block(proposals)
+            evaluations += len(proposals)
             for proposal, err in zip(proposals, errs):
                 iteration += 1
-                samples = iteration
                 if err > max_err:
                     max_err, argmax = err, proposal
-                accepted = strategy.accept(rng, current_err, err, iteration,
-                                           config.max_proposals)
-                if accepted:
+                if strategy.accept(rng, current_err, err, iteration,
+                                   config.max_proposals):
                     current, current_err = proposal, err
-                accept_rate += ewma * ((1.0 if accepted else 0.0)
-                                       - accept_rate)
                 chain.append(math.log1p(current_err))
                 if iteration % trace_stride == 0:
                     trace.append((iteration, max_err))
@@ -475,24 +396,20 @@ class Validator:
                     if abs(z) < config.z_threshold:
                         converged = True
                         break
-                if accepted and not independent:
-                    # The rest of the block was drawn conditioned on the
-                    # superseded current — discard it.
-                    break
 
-        if trace[-1][0] != samples:
-            trace.append((samples, max_err))
+        if trace[-1][0] != iteration:
+            trace.append((iteration, max_err))
         return ValidationResult(
             max_err=max_err,
             argmax=argmax,
-            samples=samples,
+            samples=iteration,
             converged=converged,
             passed=max_err <= config.eta,
             z_scores=z_scores,
             trace=trace,
             chain=chain if config.keep_chain else None,
             evaluations=evaluations,
-            wasted=evaluations - samples,
+            wasted=evaluations - iteration,
         )
 
     def validate_multichain(self, config: ValidationConfig,

@@ -39,7 +39,8 @@ def reference_results(runner, program, tests):
         else:
             outcome = prepared.run(state)
         if outcome.ok:
-            results.append((runner.read_values(state), None))
+            results.append((tuple(loc.read(state)
+                                  for loc in runner.live_outs), None))
         else:
             results.append((None, outcome.signal))
     return results

@@ -108,6 +108,19 @@ class TestVerify:
         assert "counterexample seed" in out
         assert "certified bound" in out
 
+    def test_verify_delta_kernel(self, capsys):
+        # delta runs against the aek sandbox image with pinned GP
+        # registers and ranges widened over its memory operands; the
+        # bound pins that whole environment.
+        rc = main(["verify", "--kernel", "delta", "--sound", "--budget",
+                   "32", "--json"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["bound_ulps"] == 6010556155.0
+        assert doc["leaves"] == 17
+        assert doc["complete"] is True
+        assert doc["boxes_explored"] == 33
+
     def test_verify_emit_and_check_cert(self, tmp_path, capsys):
         cert = tmp_path / "sin.cert.json"
         rc = main(["verify", "--kernel", "sin", "--degree", "9",

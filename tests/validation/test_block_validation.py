@@ -1,14 +1,16 @@
-"""Tests for speculative block evaluation in the validator.
+"""Tests for block evaluation in the validator.
 
-``err_block`` must be bit-identical to per-proposal ``err``; for
-strategies whose proposals are drawn independently of the chain state
-(``uniform_proposals``) whole validation runs must be bit-identical
-between scalar and block mode, because the acceptance step consumes no
-randomness and an accept invalidates nothing.
+``err_block`` over the proposal-state pool is the validator's only
+Equation 13 evaluator: it must match an independent per-test reference
+on every backend, whatever segments and live-ins its tests carry, and
+no test case may build a machine state of its own.  Strategies whose
+proposals are drawn independently of the chain state
+(``uniform_proposals``) run in blocks of ``UNIFORM_BLOCK``, which must
+not change any result; chain strategies run one proposal per block.
 """
 
 import random
-from dataclasses import replace
+import struct
 
 import pytest
 
@@ -16,10 +18,13 @@ from repro.fp.ieee754 import double_to_bits
 from repro.x86.assembler import assemble
 from repro.x86.testcase import TestCase
 
+from repro.core.cost import location_ulp_distance
+from repro.core.runner import Runner
+from repro.validation import validator as validator_module
 from repro.validation.proposals import TestCaseProposer
 from repro.validation.strategies import make_validation_strategy
-from repro.validation.validator import (SIGNAL_ERR, ValidationConfig,
-                                        Validator)
+from repro.validation.validator import (SIGNAL_ERR, UNIFORM_BLOCK,
+                                        ValidationConfig, Validator)
 
 from tests.conftest import base_testcase
 
@@ -49,13 +54,38 @@ def drawn_proposals(count, seed=0):
     return out
 
 
+def reference_errs(backend, target, rewrite, tests):
+    """Equation 13 per test on each test case's own pooled state, through
+    a Runner of its own: the ground truth the validator's pool must
+    reproduce."""
+    runner = Runner(["xmm0"], backend=backend)
+    prepared_target = runner.prepare(assemble(target))
+    prepared_rewrite = runner.prepare(assemble(rewrite))
+    errs = []
+    for test in tests:
+        t_out, t_sig = runner.run_values(prepared_target, test)
+        r_out, r_sig = runner.run_values(prepared_rewrite, test)
+        if t_sig is not None:
+            errs.append(0.0 if r_sig == t_sig else SIGNAL_ERR)
+        elif r_sig is not None:
+            errs.append(SIGNAL_ERR)
+        else:
+            total = 0.0
+            for loc, r_bits, t_bits in zip(runner.live_outs, r_out, t_out):
+                total += location_ulp_distance(loc, r_bits, t_bits)
+            errs.append(total)
+    return errs
+
+
 class TestErrBlock:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_block_matches_scalar_err(self, backend):
         validator = make_validator(backend=backend)
         proposals = drawn_proposals(50)
-        block = validator.err_block(proposals)
-        assert block == [validator.err(t) for t in proposals]
+        expected = reference_errs(backend, "addsd xmm0, xmm0",
+                                  "mulsd xmm0, xmm0", proposals)
+        assert validator.err_block(proposals) == expected
+        assert [validator.err(t) for t in proposals] == expected
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_pool_reuse_across_blocks(self, backend):
@@ -65,8 +95,11 @@ class TestErrBlock:
         first = drawn_proposals(20, seed=1)
         second = drawn_proposals(20, seed=2)
         validator.err_block(first)
-        assert validator.err_block(second) == \
-            [validator.err(t) for t in second]
+        assert validator.err_block(second) == reference_errs(
+            backend, "addsd xmm0, xmm0", "mulsd xmm0, xmm0", second)
+
+    def test_empty_block(self):
+        assert make_validator().err_block([]) == []
 
     def test_rewrite_signal_divergence(self):
         validator = make_validator(rewrite="movsd (rax), xmm0")
@@ -80,99 +113,100 @@ class TestErrBlock:
         proposals = drawn_proposals(8)
         assert validator.err_block(proposals) == [0.0] * 8
 
-    def test_foreign_segments_take_generic_path(self):
-        # Proposals derived from a different base test case carry their
-        # own segment objects; the pristine pool images don't apply and
-        # the block must route through the tests' own pooled states.
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_mixed_segments_rebuild_pool_slots(self, backend):
+        # Test cases from different base test cases carry their own
+        # segment objects; a pool slot holding another test's image must
+        # be rebuilt, also when the bases alternate within one block.
+        target, rewrite = "addsd 8(rbx), xmm0", "mulsd 8(rbx), xmm0"
         tc_a = base_testcase(0)
-        validator = Validator(assemble("addsd 8(rbx), xmm0"),
-                              assemble("addsd 8(rbx), xmm0"), ["xmm0"],
-                              RANGES, lambda: tc_a)
-        props_a = [tc_a.replace("xmm0", double_to_bits(float(v)))
-                   for v in range(1, 7)]
-        assert validator.err_block(props_a) == \
-            [validator.err(t) for t in props_a]
-        tc_b = base_testcase(0)  # fresh segments => generic path
-        props_b = [tc_b.replace("xmm0", double_to_bits(float(v)))
-                   for v in range(1, 7)]
-        assert validator.err_block(props_b) == \
-            [validator.err(t) for t in props_b]
+        tc_b = base_testcase(0)
+        tc_c = base_testcase(0)  # a different memory image under rbx
+        tc_c.segments[0].data[8:16] = struct.pack("<d", 2.5)
+        validator = Validator(assemble(target), assemble(rewrite),
+                              ["xmm0"], RANGES, lambda: tc_a,
+                              backend=backend)
+
+        def proposals(base):
+            return [base.replace("xmm0", double_to_bits(float(v)))
+                    for v in range(1, 7)]
+
+        props_a, props_b, props_c = (proposals(tc_a), proposals(tc_b),
+                                     proposals(tc_c))
+        blocks = [props_a, props_b, props_c]
+        for first, second in ((props_a, props_b), (props_b, props_a),
+                              (props_a, props_c), (props_c, props_a)):
+            blocks.append([t for pair in zip(first, second) for t in pair])
+        for block in blocks:
+            assert validator.err_block(block) == reference_errs(
+                backend, target, rewrite, block)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_live_ins_of_a_previous_test_do_not_leak(self, backend):
+        # Same segments, different live-in locations: a slot whose last
+        # test set xmm1 must not hand that value to a test without it.
+        target, rewrite = "addsd xmm1, xmm0", "mulsd xmm1, xmm0"
+        validator = make_validator(backend=backend, target=target,
+                                   rewrite=rewrite)
+        with_xmm1 = TestCase.from_values({"xmm0": 1.5, "xmm1": 4.0})
+        without = TestCase.from_values({"xmm0": 1.5})
+        for block in ([with_xmm1], [without], [with_xmm1, without],
+                      [without, with_xmm1]):
+            assert validator.err_block(block) == reference_errs(
+                backend, target, rewrite, block)
+
+    @pytest.mark.parametrize("backend", ("jit", "emulator"))
+    def test_no_test_case_builds_a_machine_state(self, backend):
+        # Proposals are evaluated on the pool's states only: neither a
+        # scalar err() call nor a chain leaves a template or pooled
+        # state on its test cases.
+        validator = make_validator(backend=backend)
+        fresh = drawn_proposals(1)[0]
+        validator.err(fresh)
+        result = validator.validate(
+            ValidationConfig(max_proposals=300, min_samples=300, seed=1),
+            make_validation_strategy("mcmc"))
+        for test in (fresh, result.argmax):
+            assert test._template is None
+            assert test._pooled is None
 
 
 class TestBlockChainEquivalence:
     CONFIG = ValidationConfig(max_proposals=1200, min_samples=400,
-                              check_interval=200, seed=5, max_block=1)
+                              check_interval=200, seed=5, keep_chain=True)
 
-    def test_rand_block_run_is_bit_identical_to_scalar(self):
+    def test_rand_block_run_is_bit_identical_to_scalar(self, monkeypatch):
         # ValidationRandom draws proposals independently of the chain
-        # state and its accept consumes no randomness, so block and
-        # scalar mode see the very same rng stream: every result field
-        # must match exactly.
-        validator = make_validator()
-        scalar = validator.validate(self.CONFIG,
-                                    make_validation_strategy("rand"))
-        block = validator.validate(replace(self.CONFIG, max_block=8),
-                                   make_validation_strategy("rand"))
+        # state and its accept consumes no randomness, so blocks of
+        # UNIFORM_BLOCK and blocks of one see the very same rng stream:
+        # every result field must match exactly.
+        strategy = make_validation_strategy("rand")
+        block = make_validator().validate(self.CONFIG, strategy)
+        monkeypatch.setattr(validator_module, "UNIFORM_BLOCK", 1)
+        scalar = make_validator().validate(self.CONFIG, strategy)
         assert block.max_err == scalar.max_err
+        assert block.argmax.inputs == scalar.argmax.inputs
         assert block.samples == scalar.samples
         assert block.converged == scalar.converged
+        assert block.passed == scalar.passed
         assert block.trace == scalar.trace
         assert block.z_scores == scalar.z_scores
-        assert block.argmax.value_of("xmm0") == \
-            scalar.argmax.value_of("xmm0")
-        # Scalar mode never speculates; block mode can only waste the
-        # tail of its final block (the Geweke break), never a whole one.
+        assert block.chain == scalar.chain
+        # One proposal per block wastes nothing; a full block wastes the
+        # tail drawn past the Geweke break, which lands mid-block here.
         assert scalar.evaluations == scalar.samples
         assert scalar.wasted == 0
-        assert block.wasted == block.evaluations - block.samples
-        assert block.wasted < 8
-
-    def test_mcmc_block_mode_is_deterministic(self):
-        config = replace(self.CONFIG, max_block=16)
-        strategy = make_validation_strategy("mcmc")
-        first = make_validator().validate(config, strategy)
-        second = make_validator().validate(config, strategy)
-        assert first.max_err == second.max_err
-        assert first.samples == second.samples
-        assert first.evaluations == second.evaluations
-
-    def test_mcmc_block_accounting(self):
-        result = make_validator().validate(
-            replace(self.CONFIG, max_block=16),
-            make_validation_strategy("mcmc"))
-        assert result.max_err > 0.0
-        assert result.evaluations >= result.samples
-        assert result.wasted == result.evaluations - result.samples
-        assert result.wasted >= 0
-
-    def test_max_block_one_disables_speculation(self):
-        result = make_validator().validate(
-            self.CONFIG, make_validation_strategy("mcmc"))
-        assert result.evaluations == result.samples
-        assert result.wasted == 0
+        assert block.evaluations == block.samples + block.wasted
+        assert 0 < block.wasted < UNIFORM_BLOCK
 
     def test_default_speculates_only_for_uniform_strategies(self):
-        # max_block=None (the default): chain strategies must realize
-        # exactly the scalar path — a default block size would silently
-        # change every existing caller's sampled chain — while uniform
-        # strategies batch freely because blocking cannot change their
-        # stream.
-        auto = replace(self.CONFIG, max_block=None)
-        mcmc_auto = make_validator().validate(
-            auto, make_validation_strategy("mcmc"))
-        mcmc_scalar = make_validator().validate(
+        # Chain strategies evaluate one proposal per block: every
+        # evaluated proposal is a sample.  rand fills whole blocks.
+        mcmc = make_validator().validate(
             self.CONFIG, make_validation_strategy("mcmc"))
-        assert mcmc_auto.evaluations == mcmc_auto.samples  # no speculation
-        assert mcmc_auto.max_err == mcmc_scalar.max_err
-        assert mcmc_auto.trace == mcmc_scalar.trace
-
-        rand_auto = make_validator().validate(
-            auto, make_validation_strategy("rand"))
-        rand_scalar = make_validator().validate(
+        assert mcmc.evaluations == mcmc.samples
+        assert mcmc.wasted == 0
+        rand = make_validator().validate(
             self.CONFIG, make_validation_strategy("rand"))
-        assert rand_auto.max_err == rand_scalar.max_err
-        assert rand_auto.trace == rand_scalar.trace
-        # ... but rand actually used blocks (fewer executor calls show up
-        # as wasted tail draws only when the Geweke break lands mid-block;
-        # the direct signal is evaluations filled to the block boundary).
-        assert rand_auto.evaluations >= rand_auto.samples
+        assert rand.evaluations % UNIFORM_BLOCK == 0
+        assert rand.evaluations >= rand.samples
