@@ -65,6 +65,10 @@ def _decode_bound(raw: Optional[float]) -> float:
     return math.inf if raw is None else float(raw)
 
 
+def _no_constant(name: str):
+    raise ValueError(f"non-standard JSON constant {name} in certificate")
+
+
 @dataclass(frozen=True)
 class Certificate:
     """A checkable record of one verification run."""
@@ -209,7 +213,10 @@ class Certificate:
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
-        return cls.from_dict(json.loads(text))
+        """Parse strict JSON, as :meth:`to_json` writes it: the
+        ``NaN``/``Infinity`` constants are rejected (infinite bounds are
+        ``null``, and no bound is NaN)."""
+        return cls.from_dict(json.loads(text, parse_constant=_no_constant))
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:

@@ -28,6 +28,15 @@ bit-for-bit, including operand evaluation order, error messages, and
 become closures that raise at *run* time so failure timing matches the
 interpretive path.  ``tests/verify/test_transfer_compile.py`` pins the
 equivalence differentially.
+
+The steps that make up most of the libimf kernels — ``movq $imm, xmm``,
+register ``movsd``/``movapd``-family copies and register
+``addsd``/``subsd``/``mulsd``/``divsd`` — also get a *lane form*, defined
+next to the closure it mirrors: the same step over a batch of boxes
+held as float64 columns (:class:`repro.verify.interval._LaneMachine`).
+Every other step runs its closure lane by lane, so the closures remain
+the semantics and the per-lane fallback at once.
+``tests/verify/test_transfer_lanes.py`` pins lanes to closures.
 """
 
 from __future__ import annotations
@@ -46,6 +55,8 @@ from repro.verify.interval import (
     _ARITH_F,
     _Half,
     _IntervalState,
+    _LaneArith,
+    _LaneMachine,
     IntInterval,
     IntervalD,
     IntervalUnsupported,
@@ -68,6 +79,9 @@ from repro.verify.interval import (
 
 # A transfer step mutates the abstract state in place.
 Step = Callable[[_IntervalState], None]
+# A lane form runs the same step over a _LaneMachine; False means "run
+# the closure instead".
+LaneStep = Callable[[_LaneMachine], bool]
 
 # Dimension storage keys: ('x', xmm_index) or the coarse 'mem' key.
 MEM_KEY = "mem"
@@ -89,13 +103,18 @@ class TransferPlan:
 
     ``touches[i]`` is the set of dimension storage keys step ``i`` may
     read or write, or ``None`` for a conservative "touches everything"
-    step (the interpretive fallback).  ``histogram`` counts compiled
-    steps per opcode (``nop`` slots are dropped at compile time).
+    step (the interpretive fallback).  ``lanes[i]`` is step ``i``'s lane
+    form, or ``None`` when it has none: the same step over a
+    :class:`~repro.verify.interval._LaneMachine`, returning False when an
+    operand is not held in columns (the step then runs as closures).
+    ``histogram`` counts compiled steps per opcode (``nop`` slots are
+    dropped at compile time).
     """
 
     steps: List[Step] = field(default_factory=list)
     opcodes: List[str] = field(default_factory=list)
     touches: List[Optional[FrozenSet]] = field(default_factory=list)
+    lanes: List[Optional[LaneStep]] = field(default_factory=list)
     histogram: Dict[str, int] = field(default_factory=dict)
 
     def first_touch(self, key) -> int:
@@ -117,12 +136,13 @@ def compile_transfer(program: Program, profile: bool = False) -> TransferPlan:
     for instr in program.slots:
         if instr.opcode == "nop":
             continue
-        fn, touch = _compile_instr(instr)
+        fn, touch, *lanes = _compile_instr(instr)
         if profile:
             fn = _profiled(instr.opcode, fn)
         plan.steps.append(fn)
         plan.opcodes.append(instr.opcode)
         plan.touches.append(touch)
+        plan.lanes.append(lanes[0] if lanes else None)
         plan.histogram[instr.opcode] = plan.histogram.get(instr.opcode, 0) + 1
     return plan
 
@@ -288,7 +308,27 @@ def _compile_sd(instr):
         dst[0] = _Half(
             "f64", TOP if (a is TOP or src is TOP) else arith(a, src))
 
-    return step, touch | {_x(di)}
+    rule = getattr(_LaneArith, _SD[instr.opcode], None)
+    return step, touch | {_x(di)}, _sd_lanes(rule, instr.operands[0], di)
+
+
+def _sd_lanes(rule, src, di):
+    """Lane form of a double arithmetic step from a register (None for
+    any other step; the ISA gives these opcodes no immediate form)."""
+    if rule is None or not isinstance(src, Xmm):
+        return None
+    si = src.index
+
+    def lanes(m):
+        b = m.low(si)
+        a = None if b is None else m.low(di)
+        if a is None:
+            return False
+        lo, hi = rule(m, a.lo, a.hi, b.lo, b.hi)
+        m.put(di, lo, hi, None, a.high)
+        return True
+
+    return lanes
 
 
 def _compile_sqrtsd(instr):
@@ -452,7 +492,14 @@ def _compile_movsd(instr):
     def step(state):
         state.xmm[di][0] = state.xmm[si][0]
 
-    return step, frozenset({_x(si), _x(di)})
+    def lanes(m):
+        s = m.low(si)
+        if s is None:
+            return False
+        m.put(di, s.lo, s.hi, s.bits, m.high(di))
+        return True
+
+    return step, frozenset({_x(si), _x(di)}), lanes
 
 
 def _compile_movss(instr):
@@ -505,7 +552,14 @@ def _compile_mov128(instr):
         s = state.xmm[si]
         state.xmm[di] = [s[0], s[1]]
 
-    return step, frozenset({_x(si), _x(di)})
+    def lanes(m):
+        s = m.low(si)
+        if s is None:
+            return False
+        m.put(di, s.lo, s.hi, s.bits, s.high)
+        return True
+
+    return step, frozenset({_x(si), _x(di)}), lanes
 
 
 def _compile_movddup(instr):
@@ -528,7 +582,16 @@ def _compile_movq(instr):
         def step(state):
             state.xmm[di] = [half, _ZERO_BITS]
 
-        return step, frozenset({_x(di)})
+        x = u2d(half.value)
+        if math.isnan(x):
+            # A NaN pattern stays in the lane states; reading it raises.
+            return step, frozenset({_x(di)})
+
+        def lanes(m):
+            m.put_bits(di, x, _ZERO_BITS)
+            return True
+
+        return step, frozenset({_x(di)}), lanes
     if isinstance(dst, Xmm) and isinstance(src, Mem):
         di = dst.index
 

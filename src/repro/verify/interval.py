@@ -26,13 +26,16 @@ Two lessons from the E11 unsoundness post-mortem are baked in here:
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.fp.ulp import ulp_distance, ulp_distance_single
+from repro.fp.ulp import (
+    ulp_distance,
+    ulp_distance_columns,
+    ulp_distance_single,
+)
 from repro.x86.locations import Loc, MemLoc
 from repro.x86.memory import Memory
 from repro.x86.operands import Imm, Mem, Reg32, Reg64, Xmm
@@ -232,6 +235,78 @@ class _Arith:
 
 _ARITH_D = _Arith(single=False)
 _ARITH_F = _Arith(single=True)
+
+
+def _lanes_down(x: np.ndarray) -> np.ndarray:
+    return np.where(np.isinf(x), x, np.nextafter(x, -np.inf))
+
+
+def _lanes_up(x: np.ndarray) -> np.ndarray:
+    return np.where(np.isinf(x), x, np.nextafter(x, np.inf))
+
+
+class _LaneArith:
+    """:class:`_Arith`'s double rules over lane columns, one lane per box.
+
+    Each rule takes the operands' endpoint columns and returns the
+    result's, bit for bit what ``_ARITH_D`` computes lane by lane: the
+    same endpoint operations in the same order, the same outward
+    rounding.  Lanes whose result fails :class:`IntervalD`'s check are
+    frozen on the machine ``m`` with the message the closure raises.
+    Python's ``min``/``max`` and numpy's part ways only on NaN
+    operands; the product rule zeroes NaNs first, and a lane with a NaN
+    quotient is handed to ``_ARITH_D.div`` itself.  Signed zeros need no
+    care: every ``min``/``max`` result is rounded outward before it is
+    stored.
+    """
+
+    @staticmethod
+    def add(m, alo, ahi, blo, bhi):
+        return m.interval(_lanes_down(alo + blo), _lanes_up(ahi + bhi))
+
+    @staticmethod
+    def sub(m, alo, ahi, blo, bhi):
+        return m.interval(_lanes_down(alo - bhi), _lanes_up(ahi - blo))
+
+    @staticmethod
+    def mul(m, alo, ahi, blo, bhi):
+        p0 = alo * blo
+        p1 = alo * bhi
+        p2 = ahi * blo
+        p3 = ahi * bhi
+        p0 = np.where(p0 != p0, 0.0, p0)
+        p1 = np.where(p1 != p1, 0.0, p1)
+        p2 = np.where(p2 != p2, 0.0, p2)
+        p3 = np.where(p3 != p3, 0.0, p3)
+        lo = np.minimum(np.minimum(p0, p1), np.minimum(p2, p3))
+        hi = np.maximum(np.maximum(p0, p1), np.maximum(p2, p3))
+        return m.interval(_lanes_down(lo), _lanes_up(hi))
+
+    @staticmethod
+    def div(m, alo, ahi, blo, bhi):
+        straddles = (blo <= 0.0) & (0.0 <= bhi)
+        q0 = alo / blo
+        q1 = alo / bhi
+        q2 = ahi / blo
+        q3 = ahi / bhi
+        lo = np.where(straddles, -np.inf, _lanes_down(
+            np.minimum(np.minimum(q0, q1), np.minimum(q2, q3))))
+        hi = np.where(straddles, np.inf, _lanes_up(
+            np.maximum(np.maximum(q0, q1), np.maximum(q2, q3))))
+        nan = (q0 != q0) | (q1 != q1) | (q2 != q2) | (q3 != q3)
+        nan &= ~straddles & m.alive
+        for k in np.flatnonzero(nan).tolist():
+            a = IntervalD(float(alo[k]), float(ahi[k]))
+            b = IntervalD(float(blo[k]), float(bhi[k]))
+            try:
+                q = _ARITH_D.div(a, b)
+            except IntervalUnsupported as exc:
+                m.freeze(k, str(exc))
+                continue
+            lo[k] = q.lo
+            hi[k] = q.hi
+        return m.interval(lo, hi)
+
 
 _OPS = {"add": "add", "sub": "sub", "mul": "mul", "div": "div",
         "min": "min", "max": "max"}
@@ -1164,6 +1239,229 @@ def _interval_ulp_pair(loc: Location, a, b) -> float:
 # Dimension storage keys (must match repro.verify.compile): the coarse
 # memory key plus ('x', xmm_index) per register.
 _MEM_KEY = "mem"
+_XMM_KEYS = tuple(("x", i) for i in range(16))
+
+
+class _Cols:
+    """One XMM register of a :class:`_LaneMachine`, held as columns.
+
+    ``lo``/``hi`` are the low half's endpoints, one float64 lane per
+    box; ``bits`` marks the lanes whose low half is a concrete pattern
+    (a point interval to the double arithmetic, but a pair of singles
+    to a single-lane read); ``high`` is the high half, one ``_Half``
+    for every lane or a list with one per lane.  Columns are never
+    written in place, so registers and machines share them.
+    """
+
+    __slots__ = ("lo", "hi", "bits", "high")
+
+    def __init__(self, lo, hi, bits, high):
+        self.lo = lo
+        self.hi = hi
+        self.bits = bits
+        self.high = high
+
+
+class _LaneBatch:
+    """What the two programs' lane machines share over one batch of
+    boxes: the inputs, and per lane a stats object and an error slot.
+
+    A lane is alive until its first :class:`IntervalUnsupported`; the
+    target runs before the rewrite, so a lane the target froze never
+    runs the rewrite.  Register inputs that are a lone low double start
+    as columns; every other input waits in the lane states.
+    """
+
+    def __init__(self, transfer: "IntervalTransfer",
+                 boxes: Sequence[BitBox]):
+        n = len(boxes)
+        self.transfer = transfer
+        self.n = n
+        self.inputs = [transfer._inputs_of(box.value_box(transfer.dims))
+                       for box in boxes]
+        self.errors: List[Optional[str]] = [None] * n
+        self.alive = np.ones(n, dtype=bool)
+        self.no_bits = np.zeros(n, dtype=bool)
+        self.all_bits = np.ones(n, dtype=bool)
+        self.stats: Optional[List[TransferStats]] = None
+        by_reg: Dict[int, List[Loc]] = {}
+        for d in transfer.dims:
+            if not isinstance(d.loc, MemLoc):
+                by_reg.setdefault(XMM_INDEX[d.loc.reg], []).append(d.loc)
+        self.input_regs = frozenset(by_reg)
+        self.initial: List[Optional[_Cols]] = [None] * 16
+        for i, locs in by_reg.items():
+            loc = locs[0]
+            if len(locs) == 1 and loc.ftype == "f64" and loc.lane == 0:
+                ivs = [reg_inputs[loc][1] for _, reg_inputs in self.inputs]
+                self.initial[i] = _Cols(
+                    np.array([iv.lo for iv in ivs], dtype=np.float64),
+                    np.array([iv.hi for iv in ivs], dtype=np.float64),
+                    self.no_bits, _TOP_HALF)
+
+    def live(self) -> List[int]:
+        return np.flatnonzero(self.alive).tolist()
+
+    def freeze(self, k: int, message: str) -> None:
+        self.errors[k] = message
+        self.alive[k] = False
+
+    def lane_stats(self) -> List[TransferStats]:
+        """One stats object per lane, shared by both programs' states
+        (as :meth:`IntervalTransfer._run_pair` shares one per box)."""
+        if self.stats is None:
+            self.stats = [TransferStats(boxes=1) for _ in range(self.n)]
+        return self.stats
+
+
+class _LaneMachine:
+    """One program's abstract state over a batch of boxes.
+
+    Each XMM register lives in exactly one place: in columns
+    (``cols[i]``), where the lane forms of
+    :attr:`repro.verify.compile.TransferPlan.lanes` compute on it, or in
+    the per-lane :class:`_IntervalState` objects the compiled closures
+    run on.  Before a closure step the columns it touches are written
+    back to the lane states; a lane form gathers a register back into
+    columns unless some live lane holds TOP, single lanes or a NaN
+    pattern there (the step then runs as closures).  GP registers,
+    flags and memory stores only ever live in the lane states, which
+    are built when a closure step first needs them.
+    """
+
+    def __init__(self, batch: _LaneBatch):
+        self.batch = batch
+        self.alive = batch.alive
+        self.freeze = batch.freeze
+        self.cols = list(batch.initial)
+        self.states: Optional[List[Optional[_IntervalState]]] = None
+
+    def run(self, plan) -> None:
+        for fn, touch, lanes in zip(plan.steps, plan.touches, plan.lanes):
+            if lanes is None or not lanes(self):
+                self.step(fn, touch)
+
+    # -- the lane forms' interface ----------------------------------------
+
+    def low(self, i: int) -> Optional[_Cols]:
+        """Register ``i`` as columns, or None when a live lane holds a
+        low half the columns cannot (TOP, singles, a NaN pattern)."""
+        cols = self.cols[i]
+        if cols is not None:
+            return cols
+        if self.states is None and i not in self.batch.input_regs:
+            return None  # TOP in every lane of a fresh state
+        states = self.lane_states()
+        n = self.batch.n
+        lo = [0.0] * n
+        hi = [0.0] * n
+        bits = [False] * n
+        high: List[Optional[_Half]] = [None] * n
+        for k in self.batch.live():
+            half, high[k] = states[k].xmm[i]
+            if half.kind == "f64":
+                value = half.value
+                if value is TOP:
+                    return None
+                lo[k] = value.lo
+                hi[k] = value.hi
+            elif half.kind == "bits":
+                x = u2d(half.value)
+                if x != x:
+                    return None
+                lo[k] = hi[k] = x
+                bits[k] = True
+            else:
+                return None
+        cols = self.cols[i] = _Cols(np.array(lo, dtype=np.float64),
+                                    np.array(hi, dtype=np.float64),
+                                    np.array(bits, dtype=bool), high)
+        return cols
+
+    def high(self, i: int):
+        """Register ``i``'s high half: one ``_Half`` or one per lane."""
+        cols = self.cols[i]
+        if cols is not None:
+            return cols.high
+        if self.states is None and i not in self.batch.input_regs:
+            return _TOP_HALF
+        states = self.lane_states()
+        high: List[Optional[_Half]] = [None] * self.batch.n
+        for k in self.batch.live():
+            high[k] = states[k].xmm[i][1]
+        return high
+
+    def put(self, i: int, lo, hi, bits, high) -> None:
+        """Register ``i`` := columns; ``bits`` None means no bit lanes."""
+        self.cols[i] = _Cols(lo, hi,
+                             self.batch.no_bits if bits is None else bits,
+                             high)
+
+    def put_bits(self, i: int, x: float, high) -> None:
+        """Register ``i``'s low half := the non-NaN pattern of ``x``."""
+        column = np.full(self.batch.n, x, dtype=np.float64)
+        self.cols[i] = _Cols(column, column, self.batch.all_bits, high)
+
+    def interval(self, lo: np.ndarray, hi: np.ndarray):
+        """Freeze the live lanes :class:`IntervalD` would reject."""
+        bad = (lo != lo) | (hi != hi) | (lo > hi)
+        bad &= self.alive
+        for k in np.flatnonzero(bad).tolist():
+            self.freeze(k, f"bad interval [{float(lo[k])}, "
+                           f"{float(hi[k])}]")
+        return lo, hi
+
+    # -- closure steps ------------------------------------------------------
+
+    def lane_states(self) -> List[Optional[_IntervalState]]:
+        if self.states is None:
+            batch = self.batch
+            stats = batch.lane_stats()
+            fresh = batch.transfer._fresh_state
+            self.states = [None] * batch.n
+            for k in batch.live():
+                mem_inputs, reg_inputs = batch.inputs[k]
+                self.states[k] = fresh(mem_inputs, reg_inputs, stats[k])
+        return self.states
+
+    def step(self, fn, touch) -> None:
+        """Run one compiled closure on every live lane."""
+        states = self.lane_states()
+        for i, cols in enumerate(self.cols):
+            if cols is not None and (touch is None
+                                     or _XMM_KEYS[i] in touch):
+                self._scatter(i)
+        for k in self.batch.live():
+            try:
+                fn(states[k])
+            except IntervalUnsupported as exc:
+                self.freeze(k, str(exc))
+
+    def materialize(self) -> List[Optional[_IntervalState]]:
+        """Every register back in the lane states (for live-out reads
+        the columns cannot serve)."""
+        states = self.lane_states()
+        for i, cols in enumerate(self.cols):
+            if cols is not None:
+                self._scatter(i)
+        return states
+
+    def _scatter(self, i: int) -> None:
+        cols = self.cols[i]
+        self.cols[i] = None
+        lo, hi, bits = cols.lo.tolist(), cols.hi.tolist(), cols.bits.tolist()
+        high = cols.high
+        shared = isinstance(high, _Half)
+        for k in self.batch.live():
+            half = (_Half.bits(d2u(lo[k])) if bits[k]
+                    else _Half("f64", IntervalD(lo[k], hi[k])))
+            self.states[k].xmm[i] = [half, high if shared else high[k]]
+
+    def output(self, loc: Location) -> Optional[_Cols]:
+        """The columns of a low-double live-out, if it is held in them."""
+        if isinstance(loc, MemLoc) or loc.ftype != "f64" or loc.lane != 0:
+            return None
+        return self.cols[XMM_INDEX[loc.reg]]
 
 # One analyzed box as the search consumes it:
 # (bound, per_loc_or_None, (boxes, concrete, widened), error_or_None).
@@ -1188,19 +1486,24 @@ class IntervalTransfer:
     """Box -> sound ULP-bound transfer shared by the search and checker.
 
     Instances hold the two programs, the live-out locations, and the
-    bit-space dimensions; :meth:`analyze` maps a :class:`BitBox` to a
-    bound that **sums** per-live-out ULP distances, matching the
-    validator's Equation 13 error.  The branch-and-bound driver
-    (:mod:`repro.verify.bnb`) and the certificate checker
+    bit-space dimensions; :meth:`analyze_with_stats` maps a
+    :class:`BitBox` to a bound that **sums** per-live-out ULP distances,
+    matching the validator's Equation 13 error.  The branch-and-bound
+    driver (:mod:`repro.verify.bnb`) and the certificate checker
     (:mod:`repro.verify.checker`) both call this class, so a bug in the
     search loop cannot silently weaken a certificate.
 
     Construction compiles both programs once into per-instruction
     transfer closures (:mod:`repro.verify.compile`); analyzing a box is
-    then a plain loop over prebound closures.  The original dispatching
-    interpreter survives as :meth:`analyze_interpretive`, the oracle the
-    differential tests and ``benchmarks/bench_verify.py`` hold the
-    compiled path to: identical bounds, stats, and error strings.
+    then a plain loop over prebound closures.  The search analyzes one
+    box or one split at a time; the checker, which knows every leaf up
+    front, analyzes them as lanes of a batch (:meth:`analyze_batch`):
+    the FP steps the plans give lane forms run as numpy columns, and
+    every other step runs its closure lane by lane, so the closures stay
+    the semantics.  The original dispatching interpreter survives as
+    :meth:`analyze_interpretive`, the oracle the differential tests and
+    ``benchmarks/bench_verify.py`` hold the compiled path to: identical
+    bounds, stats, and error strings.
     """
 
     def __init__(self, target: Program, rewrite: Program,
@@ -1218,7 +1521,6 @@ class IntervalTransfer:
         self.dims: Tuple[Dim, ...] = dims_of(ranges)
         self.memory = memory if memory is not None else Memory()
         self.concrete_gp = dict(concrete_gp or {})
-        self.stats = TransferStats()
         self.profile = bool(profile)
         self._plans = (compile_transfer(target, profile=self.profile),
                        compile_transfer(rewrite, profile=self.profile))
@@ -1274,13 +1576,26 @@ class IntervalTransfer:
         """
         per_loc: Dict[str, float] = {}
         total = 0.0
-        for loc in self.locations:
+        memo: List[object] = []
+        for j, loc in enumerate(self.locations):
             t_out = _read_output(t_state, loc)
             r_out = _read_output(r_state, loc)
-            bound = _interval_ulp_pair(loc, t_out, r_out)
+            bound = self._live_out_bound(
+                j, t_out, r_out, _interval_ulp_pair(loc, t_out, r_out),
+                inputs, memo)
             per_loc[str(loc)] = bound
             total += bound
         return total, per_loc
+
+    def _live_out_bound(self, j: int, t_out, r_out, hull: float, inputs,
+                        memo: List[object]) -> float:
+        """Live-out ``j``'s bound given its output-hull bound ``hull``.
+
+        The separate domain's bound is the hull bound itself; the
+        relational domain meets it with a difference window.  ``memo``
+        is per box and shared by its live-outs.
+        """
+        return hull
 
     # -- compiled path -----------------------------------------------------
 
@@ -1295,19 +1610,6 @@ class IntervalTransfer:
             states.append(state)
         return states[0], states[1]
 
-    def analyze(self, box: BitBox) -> Tuple[float, Dict[str, float]]:
-        """Sound (bound, per-live-out bounds) over one box.
-
-        Accumulates into :attr:`stats` on success (the checker's
-        accounting contract).
-        """
-        t0 = time.perf_counter()
-        total, per_loc, stats = self.analyze_with_stats(box)
-        stats.op_counts = dict(self.op_histogram)
-        stats.transfer_seconds = time.perf_counter() - t0
-        self.stats.merge(stats)
-        return total, per_loc
-
     def analyze_with_stats(
         self, box: BitBox
     ) -> Tuple[float, Dict[str, float], TransferStats]:
@@ -1318,6 +1620,75 @@ class IntervalTransfer:
         total, per_loc = self._outputs(t_state, r_state,
                                        (mem_inputs, reg_inputs))
         return total, per_loc, stats
+
+    def analyze_batch(self, boxes: Sequence[BitBox]) -> List[UnitResult]:
+        """Every box of a batch at once, one lane per box.
+
+        Both programs run over the whole batch: lane forms compute on
+        float64 columns, every other step runs its compiled closure lane
+        by lane (:class:`_LaneMachine`).  Result ``k`` is what
+        :meth:`analyze_with_stats` gives for ``boxes[k]``, as an
+        :meth:`analyze_unit` work unit: the same bound, per-live-out map
+        and bit-op counts, or the same error text.
+        """
+        if not boxes:
+            return []
+        batch = _LaneBatch(self, boxes)
+        with np.errstate(all="ignore"):
+            t = _LaneMachine(batch)
+            t.run(self._plans[0])
+            r = _LaneMachine(batch)
+            r.run(self._plans[1])
+            hulls: List[Optional[Tuple[list, ...]]] = []
+            for loc in self.locations:
+                tc, rc = t.output(loc), r.output(loc)
+                if tc is None or rc is None:
+                    hulls.append(None)
+                    continue
+                hull = np.maximum(
+                    ulp_distance_columns(tc.lo.view(np.uint64),
+                                         rc.hi.view(np.uint64)),
+                    ulp_distance_columns(tc.hi.view(np.uint64),
+                                         rc.lo.view(np.uint64)))
+                hulls.append((hull.tolist(), tc.lo.tolist(), tc.hi.tolist(),
+                              rc.lo.tolist(), rc.hi.tolist()))
+        if any(h is None for h in hulls):
+            t_states, r_states = t.materialize(), r.materialize()
+        names = [str(loc) for loc in self.locations]
+        results: List[UnitResult] = []
+        for k in range(batch.n):
+            error = batch.errors[k]
+            if error is None:
+                per_loc: Dict[str, float] = {}
+                total = 0.0
+                memo: List[object] = []
+                try:
+                    for j, loc in enumerate(self.locations):
+                        columns = hulls[j]
+                        if columns is None:
+                            t_out = _read_output(t_states[k], loc)
+                            r_out = _read_output(r_states[k], loc)
+                            hull = _interval_ulp_pair(loc, t_out, r_out)
+                        else:
+                            hull_bounds, tlo, thi, rlo, rhi = columns
+                            hull = hull_bounds[k]
+                            t_out = IntervalD(tlo[k], thi[k])
+                            r_out = IntervalD(rlo[k], rhi[k])
+                        bound = self._live_out_bound(
+                            j, t_out, r_out, hull, batch.inputs[k], memo)
+                        per_loc[names[j]] = bound
+                        total += bound
+                except IntervalUnsupported as exc:
+                    error = str(exc)
+            if error is not None:
+                results.append((math.inf, None, (1, 0, 0), error))
+                continue
+            counts = (1, 0, 0)
+            if batch.stats is not None:
+                s = batch.stats[k]
+                counts = (s.boxes, s.concrete_bit_ops, s.widened_bit_ops)
+            results.append((total, per_loc, counts, None))
+        return results
 
     def analyze_interpretive(
         self, box: BitBox

@@ -31,8 +31,6 @@ from repro.verify.interval import (
     IntervalD,
     IntervalTransfer,
     TransferStats,
-    _interval_ulp_pair,
-    _read_output,
     _StateSnapshot,
 )
 from repro.verify.relational.diffbound import (
@@ -150,27 +148,19 @@ class RelationalTransfer(IntervalTransfer):
 
     # -- relational output bounding ---------------------------------------
 
-    def _outputs(self, t_state, r_state, inputs=None):
-        per_loc: Dict[str, float] = {}
-        total = 0.0
-        box = None
-        for loc, root in zip(self.locations, self._roots):
-            t_out = _read_output(t_state, loc)
-            r_out = _read_output(r_state, loc)
-            bound = _interval_ulp_pair(loc, t_out, r_out)
-            if (root is not None and inputs is not None and bound > 0.0
-                    and loc.ftype == "f64"
-                    and isinstance(t_out, IntervalD)
-                    and isinstance(r_out, IntervalD)):
-                if box is None:
-                    box = PairBox(self.pair_plan, *_input_hulls(inputs))
-                window = window_ulp_bound(loc.ftype, t_out, r_out,
-                                          box.diff(root))
-                if window < bound:
-                    bound = window
-            per_loc[str(loc)] = bound
-            total += bound
-        return total, per_loc
+    def _live_out_bound(self, j, t_out, r_out, hull, inputs, memo):
+        """The hull bound met with the paired DAGs' difference window
+        (``memo`` holds the box's :class:`PairBox`, built once)."""
+        root = self._roots[j]
+        if (root is None or inputs is None or hull <= 0.0
+                or self.locations[j].ftype != "f64"
+                or not isinstance(t_out, IntervalD)
+                or not isinstance(r_out, IntervalD)):
+            return hull
+        if not memo:
+            memo.append(PairBox(self.pair_plan, *_input_hulls(inputs)))
+        window = window_ulp_bound("f64", t_out, r_out, memo[0].diff(root))
+        return window if window < hull else hull
 
 
 def transfer_class(domain: str):

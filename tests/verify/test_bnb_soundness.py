@@ -3,16 +3,19 @@
 Three obligations, each checked against an independent oracle:
 
 * the certified bound dominates an exhaustive enumeration of a
-  quantized subdomain (exact on its grid) and the max error a
-  Geweke-converged MCMC validation run observed;
+  quantized subdomain (exact on its grid) — for every libimf kernel in
+  both domains — and the max error a Geweke-converged MCMC validation
+  run observed;
 * the independent checker accepts genuine certificates and rejects
-  tampered ones (loosened leaf bound, dropped leaf, duplicated leaf);
+  tampered ones (loosened leaf bound, dropped leaf, duplicated leaf,
+  NaN bounds);
 * every shipped kernel — the five libimf benchmarks and the aek delta
   fragment — emits a checkable certificate without falling back to
   :class:`IntervalUnsupported`.
 """
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -27,6 +30,8 @@ from repro.validation import ValidationConfig, Validator
 from repro.verify import checker, exhaustive_check
 from repro.verify.bnb import BnBConfig, BnBVerifier, seeds_from_validation
 from repro.verify.certificate import Certificate
+
+from tests.verify.test_bnb_batched import LIBIMF_GRID_PINS
 
 # Degree-reduced rewrites give a real, nonzero approximation error.
 REDUCED_DEGREE = {"sin": 9, "cos": 8, "tan": 9, "log": 12, "exp": 8}
@@ -111,6 +116,22 @@ class TestDominance:
         assert math.isfinite(result.bound_ulps)
         assert validation.max_err <= result.bound_ulps
 
+    @pytest.mark.parametrize("domain", ["separate", "relational"])
+    @pytest.mark.parametrize("name", sorted(LIBIMF_GRID_PINS))
+    def test_certified_bound_covers_exhaustive_maximum(self, name, domain):
+        # The pin is the pair's 16-bit exhaustive maximum: an error some
+        # representable input really has, so every sound bound covers it.
+        factory = LIBIMF_KERNELS[name]
+        spec = factory()
+        rewrite = factory(REDUCED_DEGREE[name]).program
+        verifier = BnBVerifier(spec.program, rewrite, spec.live_outs,
+                               dict(spec.ranges), domain=domain)
+        result = verifier.run(BnBConfig(max_boxes=64))
+        cert = verifier.certificate(result)
+        report = checker.check(cert, spec.program, rewrite)
+        assert report.ok, report.failures
+        assert cert.bound_ulps >= LIBIMF_GRID_PINS[name][0]
+
     def test_delta_bound_dominates_e11_counterexample(self, delta_env):
         # E11's regression: the validator found an error the old
         # max-over-live-outs bound under-reported (ROADMAP open item).
@@ -177,6 +198,45 @@ class TestCheckerRejectsTampering:
         report = checker.check(cert, other, rewrite)
         assert not report.ok
         assert any("digest" in f for f in report.failures)
+
+    def test_rejects_nan_leaf_bound(self, certified):
+        # NaN compares false both ways, so no bound comparison can
+        # catch it.
+        target, rewrite, cert = certified
+        bounds = list(cert.leaf_bounds)
+        bounds[1] = math.nan
+        bad = dataclasses.replace(cert, leaf_bounds=tuple(bounds))
+        report = checker.check(bad, target, rewrite)
+        assert not report.ok
+        assert "leaf 1: recorded bound is NaN" in report.failures
+
+    def test_rejects_nan_certificate_bound(self, certified):
+        target, rewrite, cert = certified
+        bad = dataclasses.replace(cert, bound_ulps=math.nan)
+        report = checker.check(bad, target, rewrite)
+        assert not report.ok
+        assert "certificate bound is NaN" in report.failures
+
+    def test_rejects_nan_lower_bound(self, certified):
+        target, rewrite, cert = certified
+        bad = dataclasses.replace(cert, lower_bound=math.nan)
+        report = checker.check(bad, target, rewrite)
+        assert not report.ok
+        assert "lower bound is NaN" in report.failures
+
+    @pytest.mark.parametrize("field, value", [
+        ("leaf_bounds", math.nan), ("bound_ulps", math.inf),
+        ("lower_bound", -math.inf)])
+    def test_json_rejects_nonstandard_constants(self, certified, field,
+                                                value):
+        # to_json writes strict JSON (infinite bounds as null); the
+        # NaN/Infinity/-Infinity tokens only come from elsewhere.
+        _, _, cert = certified
+        doc = cert.to_dict()
+        doc[field] = ([value] * len(cert.leaf_bounds)
+                      if field == "leaf_bounds" else value)
+        with pytest.raises(ValueError, match="non-standard JSON constant"):
+            Certificate.from_json(json.dumps(doc))
 
 
 class TestAllKernelsCertify:

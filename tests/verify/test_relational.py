@@ -156,8 +156,8 @@ class TestNeverLooser:
         assert rel.relational_error is None
         rng = random.Random(3)
         for box in self._boxes(sep, rng):
-            s_bound, _ = sep.analyze(box)
-            r_bound, _ = rel.analyze(box)
+            s_bound, _, _ = sep.analyze_with_stats(box)
+            r_bound, _, _ = rel.analyze_with_stats(box)
             assert r_bound <= s_bound, box.bounds
 
     def test_strictly_tighter_on_correlated_kernels(self):
@@ -244,7 +244,7 @@ class TestPerBoxSoundness:
                     start = min(max(rng.randint(lo, hi) - w // 2, lo), hi - w)
                     bounds.append((start, start + w))
                 box = BitBox(tuple(bounds))
-                _, per_loc = rel.analyze(box)
+                _, per_loc, _ = rel.analyze_with_stats(box)
                 inputs = rel._inputs_of(box.value_box(rel.dims))
                 plan_box = PairBox(rel.pair_plan, *_input_hulls(inputs))
                 diffs = {loc: plan_box.diff(k)
