@@ -1,4 +1,4 @@
-"""Translate-once compilation of the interval abstract interpreter.
+"""The interval transfer, compiled once per program.
 
 :func:`compile_transfer` lowers a :class:`~repro.x86.program.Program`
 into a list of per-instruction *transfer closures* — the abstract-domain
@@ -8,8 +8,9 @@ analyzing a box is a plain loop over prebound closures instead of an
 opcode/isinstance dispatch per instruction per box.
 
 Each compiled step also records which *dimension storage keys* it can
-read or write: ``('x', i)`` for XMM register ``i`` and the coarse key
-``'mem'`` for any data-memory access.  :meth:`TransferPlan.first_touch`
+read or write: ``XMM_KEYS[i]`` for XMM register ``i`` and the coarse
+``MEM_KEY`` for any data-memory access (both defined in
+:mod:`repro.verify.interval`).  :meth:`TransferPlan.first_touch`
 turns those sets into the index of the first step whose behaviour can
 depend on a given input dimension, which is what lets the two children
 of a branch-and-bound split share the parent's abstract state up to
@@ -22,12 +23,15 @@ too — a clobber of the dimension's register must invalidate the shared
 prefix, otherwise re-applying the right child's input after the
 snapshot would resurrect a dead input.
 
-The closures replicate :func:`repro.verify.interval._exec_interval`
-bit-for-bit, including operand evaluation order, error messages, and
-``TransferStats`` accounting; compile-time-detectable unsupported forms
-become closures that raise at *run* time so failure timing matches the
-interpretive path.  ``tests/verify/test_transfer_compile.py`` pins the
-equivalence differentially.
+The closures are the interval semantics: one compiler per opcode, and
+an opcode with no compiler compiles to a step that raises
+:class:`~repro.verify.interval.IntervalUnsupported` (the canonical
+"outside the interval-analyzable fragment" message), so every step has
+a concrete touch set.  Operand shapes a compiler cannot analyze become
+closures that raise at *run* time, so a box fails at the step that
+reaches them.  ``tests/verify/test_transfer_soundness.py`` holds every
+compiler to the emulator: on random boxes, each concrete result lies
+in the transfer's output hull.
 
 The steps that make up most of the libimf kernels — ``movq $imm, xmm``,
 register ``movsd``/``movapd``-family copies and register
@@ -44,7 +48,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional
 
 from repro.x86.operands import Imm, Mem, Reg32, Reg64, Xmm
 from repro.x86.program import Program
@@ -62,12 +66,13 @@ from repro.verify.interval import (
     IntervalUnsupported,
     M32,
     M64,
+    MEM_KEY,
     TOP,
+    XMM_KEYS,
     _down,
     _down32,
     _exec_cmov,
     _exec_int_binop,
-    _exec_interval,
     _exec_shift,
     _half_of_pattern,
     _pattern_of_half,
@@ -83,9 +88,6 @@ Step = Callable[[_IntervalState], None]
 # the closure instead".
 LaneStep = Callable[[_LaneMachine], bool]
 
-# Dimension storage keys: ('x', xmm_index) or the coarse 'mem' key.
-MEM_KEY = "mem"
-
 _NO_TOUCH: FrozenSet = frozenset()
 
 # Shared immutable constants (states never mutate _Half objects).
@@ -93,27 +95,23 @@ _ZERO_BITS = _Half.bits(0)
 _POINT_ZERO_F32 = IntervalD.point(0.0)
 
 
-def _x(index: int) -> Tuple[str, int]:
-    return ("x", index)
-
-
 @dataclass
 class TransferPlan:
     """A program compiled to transfer closures plus dependence metadata.
 
     ``touches[i]`` is the set of dimension storage keys step ``i`` may
-    read or write, or ``None`` for a conservative "touches everything"
-    step (the interpretive fallback).  ``lanes[i]`` is step ``i``'s lane
-    form, or ``None`` when it has none: the same step over a
-    :class:`~repro.verify.interval._LaneMachine`, returning False when an
-    operand is not held in columns (the step then runs as closures).
+    read or write (empty for a step that only raises).  ``lanes[i]`` is
+    step ``i``'s lane form, or ``None`` when it has none: the same step
+    over a :class:`~repro.verify.interval._LaneMachine`, returning False
+    when an operand is not held in columns (the step then runs as
+    closures).
     ``histogram`` counts compiled steps per opcode (``nop`` slots are
     dropped at compile time).
     """
 
     steps: List[Step] = field(default_factory=list)
     opcodes: List[str] = field(default_factory=list)
-    touches: List[Optional[FrozenSet]] = field(default_factory=list)
+    touches: List[FrozenSet] = field(default_factory=list)
     lanes: List[Optional[LaneStep]] = field(default_factory=list)
     histogram: Dict[str, int] = field(default_factory=dict)
 
@@ -126,7 +124,7 @@ class TransferPlan:
         the restored state).
         """
         for i, touch in enumerate(self.touches):
-            if touch is None or key in touch:
+            if key in touch:
                 return i
         return len(self.steps)
 
@@ -180,7 +178,7 @@ def _f64_reader(operand):
         def read(state):
             return state.xmm[index][0].as_f64()
 
-        return read, frozenset({_x(index)})
+        return read, frozenset({XMM_KEYS[index]})
     if isinstance(operand, Mem):
 
         def read(state, m=operand):
@@ -210,7 +208,7 @@ def _f32_reader(operand):
         def read(state):
             return state.xmm[index][0].lane(0)
 
-        return read, frozenset({_x(index)})
+        return read, frozenset({XMM_KEYS[index]})
     if isinstance(operand, Mem):
 
         def read(state, m=operand):
@@ -243,7 +241,7 @@ def _lanes_reader(operand):
             return [halves[0].lane(0), halves[0].lane(1),
                     halves[1].lane(0), halves[1].lane(1)]
 
-        return read, frozenset({_x(index)})
+        return read, frozenset({XMM_KEYS[index]})
     if isinstance(operand, Mem):
 
         def read(state, m=operand):
@@ -265,7 +263,7 @@ def _halves_reader(operand):
         def read(state):
             return [h.as_f64() for h in state.xmm[index]]
 
-        return read, frozenset({_x(index)})
+        return read, frozenset({XMM_KEYS[index]})
     if isinstance(operand, Mem):
 
         def read(state, m=operand):
@@ -309,7 +307,8 @@ def _compile_sd(instr):
             "f64", TOP if (a is TOP or src is TOP) else arith(a, src))
 
     rule = getattr(_LaneArith, _SD[instr.opcode], None)
-    return step, touch | {_x(di)}, _sd_lanes(rule, instr.operands[0], di)
+    return (step, touch | {XMM_KEYS[di]},
+            _sd_lanes(rule, instr.operands[0], di))
 
 
 def _sd_lanes(rule, src, di):
@@ -340,7 +339,7 @@ def _compile_sqrtsd(instr):
         src = read(state)
         state.xmm[di][0] = _Half("f64", TOP if src is TOP else sqrt(src))
 
-    return step, touch | {_x(di)}
+    return step, touch | {XMM_KEYS[di]}
 
 
 def _compile_ss(instr):
@@ -355,7 +354,7 @@ def _compile_ss(instr):
         result = TOP if (a is TOP or src is TOP) else arith(a, src)
         dst[0] = dst[0].with_lane(0, result)
 
-    return step, touch | {_x(di)}
+    return step, touch | {XMM_KEYS[di]}
 
 
 def _compile_sqrtss(instr):
@@ -369,7 +368,7 @@ def _compile_sqrtss(instr):
         dst = state.xmm[di]
         dst[0] = dst[0].with_lane(0, value)
 
-    return step, touch | {_x(di)}
+    return step, touch | {XMM_KEYS[di]}
 
 
 def _compile_avx_sd(instr):
@@ -385,7 +384,7 @@ def _compile_avx_sd(instr):
         result = TOP if (a is TOP or s1 is TOP) else arith(a, s1)
         state.xmm[di] = [_Half("f64", result), s2[1]]
 
-    return step, touch | {_x(si), _x(di)}
+    return step, touch | {XMM_KEYS[si], XMM_KEYS[di]}
 
 
 def _compile_avx_ss(instr):
@@ -401,7 +400,7 @@ def _compile_avx_ss(instr):
         result = TOP if (a is TOP or s1 is TOP) else arith(a, s1)
         state.xmm[di] = [s2[0].with_lane(0, result), s2[1]]
 
-    return step, touch | {_x(si), _x(di)}
+    return step, touch | {XMM_KEYS[si], XMM_KEYS[di]}
 
 
 def _compile_pd(instr):
@@ -418,7 +417,7 @@ def _compile_pd(instr):
             dst[half] = _Half(
                 "f64", TOP if (a is TOP or b is TOP) else arith(a, b))
 
-    return step, touch | {_x(di)}
+    return step, touch | {XMM_KEYS[di]}
 
 
 def _compile_ps(instr):
@@ -436,7 +435,26 @@ def _compile_ps(instr):
         dst[0] = _Half("f32pair", (out[0], out[1]))
         dst[1] = _Half("f32pair", (out[2], out[3]))
 
-    return step, touch | {_x(di)}
+    return step, touch | {XMM_KEYS[di]}
+
+
+_MAX_FINITE = 1.7976931348623157e308
+_OVERFLOW_UP = IntervalD(_MAX_FINITE, math.inf)
+_OVERFLOW_DOWN = IntervalD(-math.inf, -_MAX_FINITE)
+
+
+def _exact_product(p: IntervalD) -> IntervalD:
+    """Bounds on the exact product behind a rounded product ``p``.
+
+    Outward rounding bounds the exact product, except where it
+    overflowed: a product at +inf may be a finite real above
+    ``_MAX_FINITE``, which the fused add can bring back into range.
+    """
+    if p.lo == math.inf:
+        return _OVERFLOW_UP
+    if p.hi == -math.inf:
+        return _OVERFLOW_DOWN
+    return p
 
 
 def _compile_fma(instr):
@@ -444,7 +462,10 @@ def _compile_fma(instr):
     read, touch = _f64_reader(instr.operands[0])
     si = instr.operands[1].index
     di = instr.operands[2].index
-    mul = _ARITH_D.mul
+
+    def mul(a, b):
+        return _exact_product(_ARITH_D.mul(a, b))
+
     add = _ARITH_D.add
 
     def step(state):
@@ -461,12 +482,13 @@ def _compile_fma(instr):
         else:
             prod = TOP if (o2 is TOP or o1 is TOP) else mul(o2, o1)
             addend = d
-        # A fused result is at least as accurate as the two-op interval.
+        # Rounding the exact product's bounds once more, in the add, is
+        # outward of the fused result's single rounding.
         dst[0] = _Half(
             "f64",
             TOP if (prod is TOP or addend is TOP) else add(prod, addend))
 
-    return step, touch | {_x(si), _x(di)}
+    return step, touch | {XMM_KEYS[si], XMM_KEYS[di]}
 
 
 def _compile_movsd(instr):
@@ -478,14 +500,14 @@ def _compile_movsd(instr):
             value = state.xmm[si][0].as_f64()
             state.mem_stores[state.addr(m)] = ("f64", value)
 
-        return step, frozenset({_x(si), MEM_KEY})
+        return step, frozenset({XMM_KEYS[si], MEM_KEY})
     if isinstance(src, Mem):
         di = dst.index
 
         def step(state, m=src):
             state.xmm[di] = [state.load_half64(state.addr(m)), _ZERO_BITS]
 
-        return step, frozenset({MEM_KEY, _x(di)})
+        return step, frozenset({MEM_KEY, XMM_KEYS[di]})
     si = src.index
     di = dst.index
 
@@ -499,7 +521,7 @@ def _compile_movsd(instr):
         m.put(di, s.lo, s.hi, s.bits, m.high(di))
         return True
 
-    return step, frozenset({_x(si), _x(di)}), lanes
+    return step, frozenset({XMM_KEYS[si], XMM_KEYS[di]}), lanes
 
 
 def _compile_movss(instr):
@@ -511,7 +533,7 @@ def _compile_movss(instr):
             value = state.xmm[si][0].lane(0)
             state.mem_stores[state.addr(m)] = ("f32", value)
 
-        return step, frozenset({_x(si), MEM_KEY})
+        return step, frozenset({XMM_KEYS[si], MEM_KEY})
     if isinstance(src, Mem):
         di = dst.index
 
@@ -520,7 +542,7 @@ def _compile_movss(instr):
             state.xmm[di] = [_Half("f32pair", (value, _POINT_ZERO_F32)),
                              _ZERO_BITS]
 
-        return step, frozenset({MEM_KEY, _x(di)})
+        return step, frozenset({MEM_KEY, XMM_KEYS[di]})
     si = src.index
     di = dst.index
 
@@ -528,7 +550,7 @@ def _compile_movss(instr):
         value = state.xmm[si][0].lane(0)
         state.xmm[di][0] = state.xmm[di][0].with_lane(0, value)
 
-    return step, frozenset({_x(si), _x(di)})
+    return step, frozenset({XMM_KEYS[si], XMM_KEYS[di]})
 
 
 def _compile_mov128(instr):
@@ -544,7 +566,7 @@ def _compile_mov128(instr):
             state.xmm[di] = [_Half("f32pair", (lanes[0], lanes[1])),
                              _Half("f32pair", (lanes[2], lanes[3]))]
 
-        return step, touch | {_x(di)}
+        return step, touch | {XMM_KEYS[di]}
     si = src.index
     di = dst.index
 
@@ -559,7 +581,7 @@ def _compile_mov128(instr):
         m.put(di, s.lo, s.hi, s.bits, s.high)
         return True
 
-    return step, frozenset({_x(si), _x(di)}), lanes
+    return step, frozenset({XMM_KEYS[si], XMM_KEYS[di]}), lanes
 
 
 def _compile_movddup(instr):
@@ -570,7 +592,7 @@ def _compile_movddup(instr):
         src = read(state)
         state.xmm[di] = [_Half("f64", src), _Half("f64", src)]
 
-    return step, touch | {_x(di)}
+    return step, touch | {XMM_KEYS[di]}
 
 
 def _compile_movq(instr):
@@ -585,20 +607,20 @@ def _compile_movq(instr):
         x = u2d(half.value)
         if math.isnan(x):
             # A NaN pattern stays in the lane states; reading it raises.
-            return step, frozenset({_x(di)})
+            return step, frozenset({XMM_KEYS[di]})
 
         def lanes(m):
             m.put_bits(di, x, _ZERO_BITS)
             return True
 
-        return step, frozenset({_x(di)}), lanes
+        return step, frozenset({XMM_KEYS[di]}), lanes
     if isinstance(dst, Xmm) and isinstance(src, Mem):
         di = dst.index
 
         def step(state, m=src):
             state.xmm[di] = [state.load_half64(state.addr(m)), _ZERO_BITS]
 
-        return step, frozenset({MEM_KEY, _x(di)})
+        return step, frozenset({MEM_KEY, XMM_KEYS[di]})
     if isinstance(dst, Mem) and isinstance(src, Xmm):
         si = src.index
 
@@ -606,7 +628,7 @@ def _compile_movq(instr):
             value = state.xmm[si][0].as_f64()
             state.mem_stores[state.addr(m)] = ("f64", value)
 
-        return step, frozenset({_x(si), MEM_KEY})
+        return step, frozenset({XMM_KEYS[si], MEM_KEY})
     if isinstance(dst, Reg64) and isinstance(src, Xmm):
         si = src.index
 
@@ -614,7 +636,7 @@ def _compile_movq(instr):
             # Bit extraction: reinterpret the low double's bit pattern.
             state.set_gp(d, _pattern_of_half(state, state.xmm[si][0]))
 
-        return step, frozenset({_x(si)})
+        return step, frozenset({XMM_KEYS[si]})
     if isinstance(dst, Xmm) and isinstance(src, (Reg64, Reg32)):
         di = dst.index
 
@@ -625,7 +647,7 @@ def _compile_movq(instr):
                 _ZERO_BITS,
             ]
 
-        return step, frozenset({_x(di)})
+        return step, frozenset({XMM_KEYS[di]})
     return _raising("movq form outside the FP fragment"), _NO_TOUCH
 
 
@@ -639,18 +661,18 @@ def _compile_movd(instr):
             def step(state):
                 state.xmm[di] = [half, _ZERO_BITS]
 
-            return step, frozenset({_x(di)})
+            return step, frozenset({XMM_KEYS[di]})
         if isinstance(src, (Reg32, Reg64)):
             si = src.index
 
             def step(state):
                 value = state.gp[si]
-                if value is TOP:
+                if not isinstance(value, int):
                     raise IntervalUnsupported("movd from symbolic register")
                 bits = value & 0xFFFFFFFF
                 state.xmm[di] = [_Half.bits(bits), _ZERO_BITS]
 
-            return step, frozenset({_x(di)})
+            return step, frozenset({XMM_KEYS[di]})
         return _raising("movd from memory"), _NO_TOUCH
     return _raising("movd to GP register"), _NO_TOUCH
 
@@ -698,7 +720,7 @@ def _compile_punpckldq(instr):
         state.xmm[di] = [_Half("f32pair", (d0, s[0])),
                          _Half("f32pair", (d1, s[1]))]
 
-    return step, touch | {_x(di)}
+    return step, touch | {XMM_KEYS[di]}
 
 
 def _compile_unpcklpd(instr):
@@ -710,7 +732,7 @@ def _compile_unpcklpd(instr):
         lo = read(state)
         state.xmm[di][1] = _Half("f64", lo)
 
-    return step, touch | {_x(di)}
+    return step, touch | {XMM_KEYS[di]}
 
 
 def _compile_unpckhpd(instr):
@@ -724,7 +746,7 @@ def _compile_unpckhpd(instr):
         state.xmm[di] = [_Half("f64", d[1].as_f64()),
                          _Half("f64", halves[1])]
 
-    return step, touch | {_x(di)}
+    return step, touch | {XMM_KEYS[di]}
 
 
 def _compile_cvtss2sd(instr):
@@ -735,7 +757,7 @@ def _compile_cvtss2sd(instr):
         src = read(state)
         state.xmm[di][0] = _Half("f64", src)
 
-    return step, touch | {_x(di)}
+    return step, touch | {XMM_KEYS[di]}
 
 
 def _compile_cvtsd2ss(instr):
@@ -751,7 +773,7 @@ def _compile_cvtsd2ss(instr):
         dst = state.xmm[di]
         dst[0] = dst[0].with_lane(0, value)
 
-    return step, touch | {_x(di)}
+    return step, touch | {XMM_KEYS[di]}
 
 
 def _compile_int_binop(instr):
@@ -782,7 +804,7 @@ def _compile_xor128(instr):
         def step(state):
             state.xmm[di] = [_ZERO_BITS, _ZERO_BITS]
 
-        return step, frozenset({_x(di)})
+        return step, frozenset({XMM_KEYS[di]})
     return _raising(f"{instr.opcode} outside the zeroing idiom"), _NO_TOUCH
 
 
@@ -805,7 +827,7 @@ def _compile_ucomi(instr):
             dst = state.xmm[di][0].lane(0)
             state.cmp = (dst, src)
 
-    return step, touch | {_x(di)}
+    return step, touch | {XMM_KEYS[di]}
 
 
 def _compile_cmp(instr):
@@ -880,15 +902,7 @@ def _compile_cvtsi2sd(instr):
             hi = _up(hi)
         state.xmm[di][0] = _Half("f64", IntervalD(lo, hi))
 
-    return step, frozenset({_x(di)})
-
-
-def _compile_fallback(instr):
-    def step(state):
-        _exec_interval(state, instr)
-
-    # Unknown shape: assume it can touch every dimension.
-    return step, None
+    return step, frozenset({XMM_KEYS[di]})
 
 
 _COMPILERS: Dict[str, Callable] = {}
@@ -942,12 +956,8 @@ def _compile_instr(instr):
     name = instr.opcode
     compiler = _COMPILERS.get(name)
     if compiler is None:
-        if name.startswith("cmov"):
-            compiler = _compile_cmov
-        else:
-            # Unknown opcode: defer to the interpretive dispatcher, which
-            # raises the canonical "outside the fragment" message at run
-            # time (and keeps any future interpreter additions working
-            # before they grow a dedicated compiler).
-            return _compile_fallback(instr)
+        if not name.startswith("cmov"):
+            return (_raising(f"opcode {name} outside the "
+                             f"interval-analyzable fragment"), _NO_TOUCH)
+        compiler = _compile_cmov
     return compiler(instr)

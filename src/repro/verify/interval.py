@@ -38,17 +38,10 @@ from repro.fp.ulp import (
 )
 from repro.x86.locations import Loc, MemLoc
 from repro.x86.memory import Memory
-from repro.x86.operands import Imm, Mem, Reg32, Reg64, Xmm
+from repro.x86.operands import Imm, Mem, Reg32, Reg64
 from repro.x86.program import Program
 from repro.x86.registers import XMM_INDEX
-from repro.x86.scalar import (
-    cvtsi2sd32,
-    cvtsi2sd64,
-    d2u,
-    sint64,
-    u2d,
-    u2f,
-)
+from repro.x86.scalar import d2u, sint64, u2d, u2f
 
 from repro.core.runner import Location, resolve_locations
 from repro.verify.partition import BitBox, Dim, dims_of, full_box
@@ -66,6 +59,13 @@ _MAX_FINITE_BITS = 0x7FEFFFFFFFFFFFFF
 _SIGNED64 = 1 << 63
 M32 = 0xFFFFFFFF
 M64 = 0xFFFFFFFFFFFFFFFF
+
+# Dimension storage keys: what a compiled step may read or write
+# (:attr:`repro.verify.compile.TransferPlan.touches`) and what an input
+# dimension lives in.  One coarse key covers all data memory; XMM
+# register ``i`` is ``XMM_KEYS[i]``.
+MEM_KEY = "mem"
+XMM_KEYS = tuple(("x", i) for i in range(16))
 
 
 @dataclass
@@ -176,47 +176,77 @@ def _up32(x: float) -> float:
         else float(f)
 
 
+# Why a rule gives up: its operands admit a NaN result, which no
+# interval holds.
+_NAN_ADD = "possible NaN: inf + -inf"
+_NAN_SUB = "possible NaN: inf - inf"
+_NAN_MUL = "possible NaN: 0 * inf"
+_NAN_DIV = "possible NaN: 0 / 0 or inf / inf"
+
+
 class _Arith:
-    """Directed-rounding interval arithmetic, parameterized by precision."""
+    """Directed-rounding interval arithmetic, parameterized by precision.
+
+    Each rule raises :class:`IntervalUnsupported` when its operand
+    intervals admit a NaN result (``inf - inf``, ``0 * inf``, ``0 / 0``,
+    ``inf / inf``): a NaN lies in no interval, so no bound would hold.
+    """
 
     def __init__(self, single: bool):
         self.round_down = _down32 if single else _down
         self.round_up = _up32 if single else _up
 
-    def add(self, a: IntervalD, b: IntervalD) -> IntervalD:
+    def add(self, a: IntervalD, b: IntervalD,
+            _inf=math.inf, _ninf=-math.inf) -> IntervalD:
+        if (a.hi == _inf and b.lo == _ninf) or \
+                (a.lo == _ninf and b.hi == _inf):
+            raise IntervalUnsupported(_NAN_ADD)
         return IntervalD(self.round_down(a.lo + b.lo),
                          self.round_up(a.hi + b.hi))
 
-    def sub(self, a: IntervalD, b: IntervalD) -> IntervalD:
+    def sub(self, a: IntervalD, b: IntervalD,
+            _inf=math.inf, _ninf=-math.inf) -> IntervalD:
+        if (a.hi == _inf and b.hi == _inf) or \
+                (a.lo == _ninf and b.lo == _ninf):
+            raise IntervalUnsupported(_NAN_SUB)
         return IntervalD(self.round_down(a.lo - b.hi),
                          self.round_up(a.hi - b.lo))
 
-    def mul(self, a: IntervalD, b: IntervalD) -> IntervalD:
-        # Endpoint products with IEEE NaNs (0 * inf) treated as 0,
-        # unrolled — this is the hottest arithmetic in the transfer and
-        # the list comprehensions it replaces dominated its profile.
-        p0 = a.lo * b.lo
-        p1 = a.lo * b.hi
-        p2 = a.hi * b.lo
-        p3 = a.hi * b.hi
-        if p0 != p0:
-            p0 = 0.0
-        if p1 != p1:
-            p1 = 0.0
-        if p2 != p2:
-            p2 = 0.0
-        if p3 != p3:
-            p3 = 0.0
+    def mul(self, a: IntervalD, b: IntervalD,
+            _inf=math.inf, _ninf=-math.inf) -> IntervalD:
+        # Unrolled, on locals: this is the hottest arithmetic in the
+        # transfer.
+        alo = a.lo
+        ahi = a.hi
+        blo = b.lo
+        bhi = b.hi
+        if ((blo == _ninf or bhi == _inf) and alo <= 0.0 <= ahi) or \
+                ((alo == _ninf or ahi == _inf) and blo <= 0.0 <= bhi):
+            raise IntervalUnsupported(_NAN_MUL)
+        p0 = alo * blo
+        p1 = alo * bhi
+        p2 = ahi * blo
+        p3 = ahi * bhi
         return IntervalD(self.round_down(min(p0, p1, p2, p3)),
                          self.round_up(max(p0, p1, p2, p3)))
 
-    def div(self, a: IntervalD, b: IntervalD) -> IntervalD:
-        if b.lo <= 0.0 <= b.hi:
-            return IntervalD(-math.inf, math.inf)
-        q0 = a.lo / b.lo
-        q1 = a.lo / b.hi
-        q2 = a.hi / b.lo
-        q3 = a.hi / b.hi
+    def div(self, a: IntervalD, b: IntervalD,
+            _inf=math.inf, _ninf=-math.inf) -> IntervalD:
+        alo = a.lo
+        ahi = a.hi
+        blo = b.lo
+        bhi = b.hi
+        straddles = blo <= 0.0 <= bhi
+        if (straddles and alo <= 0.0 <= ahi) or \
+                ((alo == _ninf or ahi == _inf)
+                 and (blo == _ninf or bhi == _inf)):
+            raise IntervalUnsupported(_NAN_DIV)
+        if straddles:
+            return IntervalD(_ninf, _inf)
+        q0 = alo / blo
+        q1 = alo / bhi
+        q2 = ahi / blo
+        q3 = ahi / bhi
         return IntervalD(self.round_down(min(q0, q1, q2, q3)),
                          self.round_up(max(q0, q1, q2, q3)))
 
@@ -245,39 +275,45 @@ def _lanes_up(x: np.ndarray) -> np.ndarray:
     return np.where(np.isinf(x), x, np.nextafter(x, np.inf))
 
 
+def _lanes_inf(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    return (lo == -np.inf) | (hi == np.inf)
+
+
 class _LaneArith:
     """:class:`_Arith`'s double rules over lane columns, one lane per box.
 
     Each rule takes the operands' endpoint columns and returns the
     result's, bit for bit what ``_ARITH_D`` computes lane by lane: the
-    same endpoint operations in the same order, the same outward
-    rounding.  Lanes whose result fails :class:`IntervalD`'s check are
-    frozen on the machine ``m`` with the message the closure raises.
-    Python's ``min``/``max`` and numpy's part ways only on NaN
-    operands; the product rule zeroes NaNs first, and a lane with a NaN
-    quotient is handed to ``_ARITH_D.div`` itself.  Signed zeros need no
-    care: every ``min``/``max`` result is rounded outward before it is
-    stored.
+    same NaN checks, the same endpoint operations in the same order, the
+    same outward rounding.  A lane whose operands admit a NaN, or whose
+    result fails :class:`IntervalD`'s check, is frozen on the machine
+    ``m`` with the message the closure raises.  Past the NaN checks no
+    live lane holds a NaN endpoint, so numpy's ``minimum``/``maximum``
+    agree with Python's ``min``/``max``; signed zeros need no care, as
+    every ``min``/``max`` result is rounded outward before it is stored.
     """
 
     @staticmethod
     def add(m, alo, ahi, blo, bhi):
+        m.give_up(((ahi == np.inf) & (blo == -np.inf))
+                  | ((alo == -np.inf) & (bhi == np.inf)), _NAN_ADD)
         return m.interval(_lanes_down(alo + blo), _lanes_up(ahi + bhi))
 
     @staticmethod
     def sub(m, alo, ahi, blo, bhi):
+        m.give_up(((ahi == np.inf) & (bhi == np.inf))
+                  | ((alo == -np.inf) & (blo == -np.inf)), _NAN_SUB)
         return m.interval(_lanes_down(alo - bhi), _lanes_up(ahi - blo))
 
     @staticmethod
     def mul(m, alo, ahi, blo, bhi):
+        m.give_up(((alo <= 0.0) & (0.0 <= ahi) & _lanes_inf(blo, bhi))
+                  | ((blo <= 0.0) & (0.0 <= bhi) & _lanes_inf(alo, ahi)),
+                  _NAN_MUL)
         p0 = alo * blo
         p1 = alo * bhi
         p2 = ahi * blo
         p3 = ahi * bhi
-        p0 = np.where(p0 != p0, 0.0, p0)
-        p1 = np.where(p1 != p1, 0.0, p1)
-        p2 = np.where(p2 != p2, 0.0, p2)
-        p3 = np.where(p3 != p3, 0.0, p3)
         lo = np.minimum(np.minimum(p0, p1), np.minimum(p2, p3))
         hi = np.maximum(np.maximum(p0, p1), np.maximum(p2, p3))
         return m.interval(_lanes_down(lo), _lanes_up(hi))
@@ -285,6 +321,8 @@ class _LaneArith:
     @staticmethod
     def div(m, alo, ahi, blo, bhi):
         straddles = (blo <= 0.0) & (0.0 <= bhi)
+        m.give_up((straddles & (alo <= 0.0) & (0.0 <= ahi))
+                  | (_lanes_inf(alo, ahi) & _lanes_inf(blo, bhi)), _NAN_DIV)
         q0 = alo / blo
         q1 = alo / bhi
         q2 = ahi / blo
@@ -293,23 +331,7 @@ class _LaneArith:
             np.minimum(np.minimum(q0, q1), np.minimum(q2, q3))))
         hi = np.where(straddles, np.inf, _lanes_up(
             np.maximum(np.maximum(q0, q1), np.maximum(q2, q3))))
-        nan = (q0 != q0) | (q1 != q1) | (q2 != q2) | (q3 != q3)
-        nan &= ~straddles & m.alive
-        for k in np.flatnonzero(nan).tolist():
-            a = IntervalD(float(alo[k]), float(ahi[k]))
-            b = IntervalD(float(blo[k]), float(bhi[k]))
-            try:
-                q = _ARITH_D.div(a, b)
-            except IntervalUnsupported as exc:
-                m.freeze(k, str(exc))
-                continue
-            lo[k] = q.lo
-            hi[k] = q.hi
         return m.interval(lo, hi)
-
-
-_OPS = {"add": "add", "sub": "sub", "mul": "mul", "div": "div",
-        "min": "min", "max": "max"}
 
 
 class _Half:
@@ -318,8 +340,8 @@ class _Half:
 
     Instances are immutable once built (``with_lane`` returns a new
     half), so compiled transfer plans share them freely across boxes;
-    ``_f64`` memoizes the bits -> point-interval decode that dominated
-    the interpretive profile.
+    ``_f64`` memoizes the bits -> point-interval decode, which a
+    constant read once per box would otherwise repeat.
     """
 
     __slots__ = ("kind", "value", "_f64")
@@ -328,12 +350,6 @@ class _Half:
         self.kind = kind  # 'f64' | 'f32pair' | 'bits' | 'top'
         self.value = value
         self._f64 = None
-
-    @classmethod
-    def top(cls) -> "_Half":
-        # Halves are immutable, so every TOP is the same object (16
-        # registers x 2 halves per fresh state adds up).
-        return _TOP_HALF
 
     @classmethod
     def bits(cls, value: int) -> "_Half":
@@ -512,58 +528,6 @@ class _IntervalState:
             return IntervalD.point(x)
         return TOP
 
-    # source-value readers used by the transfer functions ------------------
-
-    def src_f64(self, operand) -> Union[IntervalD, str]:
-        if isinstance(operand, Xmm):
-            return self.xmm[operand.index][0].as_f64()
-        if isinstance(operand, Mem):
-            return self.load_f64(self.addr(operand))
-        if isinstance(operand, Imm):
-            x = u2d(operand.value)
-            if math.isnan(x):
-                raise IntervalUnsupported("NaN immediate")
-            return IntervalD.point(x)
-        raise IntervalUnsupported(f"f64 source {operand!r}")
-
-    def src_f32(self, operand) -> Union[IntervalD, str]:
-        if isinstance(operand, Xmm):
-            return self.xmm[operand.index][0].lane(0)
-        if isinstance(operand, Mem):
-            return self.load_f32(self.addr(operand))
-        if isinstance(operand, Imm):
-            x = u2f(operand.value)
-            if math.isnan(x):
-                raise IntervalUnsupported("NaN immediate")
-            return IntervalD.point(x)
-        raise IntervalUnsupported(f"f32 source {operand!r}")
-
-    def src_lanes(self, operand) -> List[Union[IntervalD, str]]:
-        """Four float32 lanes of a 128-bit source."""
-        if isinstance(operand, Xmm):
-            halves = self.xmm[operand.index]
-            return [halves[0].lane(0), halves[0].lane(1),
-                    halves[1].lane(0), halves[1].lane(1)]
-        if isinstance(operand, Mem):
-            addr = self.addr(operand)
-            return [self.load_f32(addr + 4 * lane) for lane in range(4)]
-        raise IntervalUnsupported(f"128-bit source {operand!r}")
-
-    def src_halves_f64(self, operand) -> List[Union[IntervalD, str]]:
-        if isinstance(operand, Xmm):
-            return [h.as_f64() for h in self.xmm[operand.index]]
-        if isinstance(operand, Mem):
-            addr = self.addr(operand)
-            return [self.load_f64(addr), self.load_f64(addr + 8)]
-        raise IntervalUnsupported(f"128-bit source {operand!r}")
-
-
-def _apply(arith: _Arith, name: str, a, b):
-    if a is TOP or b is TOP:
-        return TOP
-    return getattr(arith, name)(a, b)
-
-
 # --------------------------------------------------------------------------
 # GP integer / bit-level transfer helpers
 
@@ -575,7 +539,8 @@ def _pattern_of_half(state: "_IntervalState", half: "_Half"
     Degenerate data evaluates concretely; widened finite positive
     doubles map monotonically to a pattern interval.  Only genuinely
     unrepresentable lanes (TOP, mixed-sign or non-finite intervals,
-    packed singles) raise.
+    packed singles) raise.  An interval holding zero is mixed-sign: it
+    does not say which zero, and -0.0's pattern is the largest.
     """
     if half.kind == "bits":
         state.stats.concrete_bit_ops += 1
@@ -584,10 +549,10 @@ def _pattern_of_half(state: "_IntervalState", half: "_Half"
         interval = half.value
         if interval is TOP:
             raise IntervalUnsupported("bit extraction from unbounded lane")
-        if interval.lo == interval.hi:
+        if interval.lo == interval.hi != 0.0:
             state.stats.concrete_bit_ops += 1
             return d2u(interval.lo)
-        if interval.lo >= 0.0 and math.isfinite(interval.hi):
+        if interval.lo > 0.0 and math.isfinite(interval.hi):
             # u2d is monotone on finite non-negative patterns.
             state.stats.widened_bit_ops += 1
             return IntInterval(d2u(interval.lo), d2u(interval.hi))
@@ -834,326 +799,6 @@ def _exec_cmov(state: "_IntervalState", cc: str, ops) -> None:
                                   state.gp_operand(src_op)))
 
 
-def _exec_interval(state: _IntervalState, instr) -> None:
-    name = instr.opcode
-    ops = instr.operands
-    if name == "nop":
-        return
-
-    sd = {"addsd": "add", "subsd": "sub", "mulsd": "mul", "divsd": "div",
-          "minsd": "min", "maxsd": "max"}
-    if name in sd:
-        src = state.src_f64(ops[0])
-        dst = state.xmm[ops[1].index]
-        dst[0] = _Half("f64", _apply(_ARITH_D, sd[name], dst[0].as_f64(), src))
-        return
-    if name == "sqrtsd":
-        src = state.src_f64(ops[0])
-        value = TOP if src is TOP else _ARITH_D.sqrt(src)
-        state.xmm[ops[1].index][0] = _Half("f64", value)
-        return
-
-    ss = {"addss": "add", "subss": "sub", "mulss": "mul", "divss": "div",
-          "minss": "min", "maxss": "max"}
-    if name in ss:
-        src = state.src_f32(ops[0])
-        dst = state.xmm[ops[1].index]
-        result = _apply(_ARITH_F, ss[name], dst[0].lane(0), src)
-        dst[0] = dst[0].with_lane(0, result)
-        return
-    if name == "sqrtss":
-        src = state.src_f32(ops[0])
-        value = TOP if src is TOP else _ARITH_F.sqrt(src)
-        dst = state.xmm[ops[1].index]
-        dst[0] = dst[0].with_lane(0, value)
-        return
-
-    avx_sd = {"vaddsd": "add", "vsubsd": "sub", "vmulsd": "mul",
-              "vdivsd": "div", "vminsd": "min", "vmaxsd": "max"}
-    if name in avx_sd:
-        s1 = state.src_f64(ops[0])
-        s2 = state.xmm[ops[1].index]
-        result = _apply(_ARITH_D, avx_sd[name], s2[0].as_f64(), s1)
-        state.xmm[ops[2].index] = [_Half("f64", result), s2[1]]
-        return
-
-    avx_ss = {"vaddss": "add", "vsubss": "sub", "vmulss": "mul",
-              "vdivss": "div"}
-    if name in avx_ss:
-        s1 = state.src_f32(ops[0])
-        s2 = state.xmm[ops[1].index]
-        result = _apply(_ARITH_F, avx_ss[name], s2[0].lane(0), s1)
-        state.xmm[ops[2].index] = [s2[0].with_lane(0, result), s2[1]]
-        return
-
-    pd = {"addpd": "add", "subpd": "sub", "mulpd": "mul", "divpd": "div"}
-    if name in pd:
-        src = state.src_halves_f64(ops[0])
-        dst = state.xmm[ops[1].index]
-        for half in (0, 1):
-            dst[half] = _Half(
-                "f64", _apply(_ARITH_D, pd[name], dst[half].as_f64(),
-                              src[half]))
-        return
-
-    ps = {"addps": "add", "subps": "sub", "mulps": "mul", "divps": "div"}
-    if name in ps:
-        src = state.src_lanes(ops[0])
-        dst = state.xmm[ops[1].index]
-        lanes = [dst[0].lane(0), dst[0].lane(1), dst[1].lane(0),
-                 dst[1].lane(1)]
-        out = [_apply(_ARITH_F, ps[name], lanes[j], src[j]) for j in range(4)]
-        dst[0] = _Half("f32pair", (out[0], out[1]))
-        dst[1] = _Half("f32pair", (out[2], out[3]))
-        return
-
-    fma = {"vfmadd132sd": "132", "vfmadd213sd": "213", "vfmadd231sd": "231"}
-    if name in fma:
-        o1 = state.src_f64(ops[0])
-        o2 = state.xmm[ops[1].index][0].as_f64()
-        dst = state.xmm[ops[2].index]
-        d = dst[0].as_f64()
-        order = fma[name]
-        if order == "132":
-            prod, addend = _apply(_ARITH_D, "mul", d, o1), o2
-        elif order == "213":
-            prod, addend = _apply(_ARITH_D, "mul", o2, d), o1
-        else:
-            prod, addend = _apply(_ARITH_D, "mul", o2, o1), d
-        # A fused result is at least as accurate as the two-op interval.
-        dst[0] = _Half("f64", _apply(_ARITH_D, "add", prod, addend))
-        return
-
-    if name == "movsd":
-        src, dst = ops
-        if isinstance(dst, Mem):
-            value = state.xmm[src.index][0].as_f64()
-            state.mem_stores[state.addr(dst)] = ("f64", value)
-        elif isinstance(src, Mem):
-            state.xmm[dst.index] = [state.load_half64(state.addr(src)),
-                                    _Half.bits(0)]
-        else:
-            state.xmm[dst.index][0] = state.xmm[src.index][0]
-        return
-
-    if name == "movss":
-        src, dst = ops
-        if isinstance(dst, Mem):
-            value = state.xmm[src.index][0].lane(0)
-            state.mem_stores[state.addr(dst)] = ("f32", value)
-        elif isinstance(src, Mem):
-            value = state.load_f32(state.addr(src))
-            state.xmm[dst.index] = [
-                _Half("f32pair", (value, IntervalD.point(0.0))),
-                _Half.bits(0),
-            ]
-        else:
-            value = state.xmm[src.index][0].lane(0)
-            state.xmm[dst.index][0] = state.xmm[dst.index][0].with_lane(0, value)
-        return
-
-    if name in ("movapd", "movaps", "movdqa", "movups", "movdqu", "lddqu"):
-        src, dst = ops
-        if isinstance(dst, Mem):
-            raise IntervalUnsupported("128-bit store")
-        if isinstance(src, Mem):
-            lanes = state.src_lanes(src)
-            state.xmm[dst.index] = [_Half("f32pair", (lanes[0], lanes[1])),
-                                    _Half("f32pair", (lanes[2], lanes[3]))]
-        else:
-            state.xmm[dst.index] = [
-                state.xmm[src.index][0], state.xmm[src.index][1]
-            ]
-        return
-
-    if name == "movddup":
-        src = state.src_f64(ops[0])
-        state.xmm[ops[1].index] = [_Half("f64", src), _Half("f64", src)]
-        return
-
-    if name == "movq":
-        src, dst = ops
-        if isinstance(dst, Xmm) and isinstance(src, Imm):
-            state.xmm[dst.index] = [_Half.bits(src.value), _Half.bits(0)]
-            return
-        if isinstance(dst, Xmm) and isinstance(src, Mem):
-            state.xmm[dst.index] = [state.load_half64(state.addr(src)),
-                                    _Half.bits(0)]
-            return
-        if isinstance(dst, Mem) and isinstance(src, Xmm):
-            state.mem_stores[state.addr(dst)] = (
-                "f64", state.xmm[src.index][0].as_f64())
-            return
-        if isinstance(dst, Reg64) and isinstance(src, Xmm):
-            # Bit extraction: reinterpret the low double's bit pattern.
-            state.set_gp(dst, _pattern_of_half(state, state.xmm[src.index][0]))
-            return
-        if isinstance(dst, Xmm) and isinstance(src, (Reg64, Reg32)):
-            # Bit injection: reinterpret a GP pattern as the low double.
-            state.xmm[dst.index] = [
-                _half_of_pattern(state, state.gp_operand(src)),
-                _Half.bits(0),
-            ]
-            return
-        raise IntervalUnsupported("movq form outside the FP fragment")
-
-    if name == "movd":
-        src, dst = ops
-        if isinstance(dst, Xmm):
-            if isinstance(src, Imm):
-                bits = src.value & 0xFFFFFFFF
-            elif isinstance(src, (Reg32, Reg64)):
-                value = state.gp[src.index]
-                if value is TOP:
-                    raise IntervalUnsupported("movd from symbolic register")
-                bits = value & 0xFFFFFFFF
-            else:
-                raise IntervalUnsupported("movd from memory")
-            state.xmm[dst.index] = [_Half.bits(bits), _Half.bits(0)]
-            return
-        raise IntervalUnsupported("movd to GP register")
-
-    if name in ("mov", "movabs"):
-        src, dst = ops
-        if isinstance(dst, (Reg64, Reg32)) and isinstance(src, Imm):
-            mask = M64 if isinstance(dst, Reg64) else M32
-            state.gp[dst.index] = src.value & mask
-            return
-        if isinstance(dst, (Reg64, Reg32)) and isinstance(src, (Reg64, Reg32)):
-            state.set_gp(dst, state.gp_operand(src))
-            return
-        raise IntervalUnsupported("mov form outside the FP fragment")
-
-    if name == "lea":
-        state.gp[ops[1].index] = state.addr(ops[0])
-        return
-
-    if name == "punpckldq":
-        src, dst = ops
-        s = state.src_lanes(src) if not isinstance(src, Mem) else \
-            state.src_lanes(src)
-        d = state.xmm[dst.index]
-        d0, d1 = d[0].lane(0), d[0].lane(1)
-        state.xmm[dst.index] = [_Half("f32pair", (d0, s[0])),
-                                _Half("f32pair", (d1, s[1]))]
-        return
-
-    if name == "unpcklpd":
-        src, dst = ops
-        lo = state.src_f64(src)
-        state.xmm[dst.index][1] = _Half("f64", lo)
-        return
-
-    if name == "unpckhpd":
-        src, dst = ops
-        halves = state.src_halves_f64(src)
-        d = state.xmm[dst.index]
-        state.xmm[dst.index] = [_Half("f64", d[1].as_f64()),
-                                _Half("f64", halves[1])]
-        return
-
-    if name == "cvtss2sd":
-        src = state.src_f32(ops[0])
-        state.xmm[ops[1].index][0] = _Half("f64", src)
-        return
-
-    if name == "cvtsd2ss":
-        src = state.src_f64(ops[0])
-        if src is TOP:
-            value = TOP
-        else:
-            value = IntervalD(_down32(src.lo), _up32(src.hi))
-        dst = state.xmm[ops[1].index]
-        dst[0] = dst[0].with_lane(0, value)
-        return
-
-    # ---- integer / bit-level fragment (libimf exp & log) ----------------
-
-    if name in ("add", "sub", "imul", "and", "or", "xor"):
-        _exec_int_binop(state, name, ops)
-        return
-
-    if name in ("shl", "shr", "sar"):
-        _exec_shift(state, name, ops)
-        return
-
-    if name in ("xorpd", "xorps", "pxor"):
-        src, dst = ops
-        if isinstance(src, Xmm) and src.index == dst.index:
-            state.xmm[dst.index] = [_Half.bits(0), _Half.bits(0)]
-            return
-        raise IntervalUnsupported(f"{name} outside the zeroing idiom")
-
-    if name in ("ucomisd", "ucomiss"):
-        src_op, dst_op = ops
-        if name == "ucomisd":
-            src = state.src_f64(src_op)
-            dst = state.xmm[dst_op.index][0].as_f64()
-        else:
-            src = state.src_f32(src_op)
-            dst = state.xmm[dst_op.index][0].lane(0)
-        state.cmp = (dst, src)
-        return
-
-    if name in ("cmp", "test"):
-        # GP flags: unknown to this domain; cmovs after this must join.
-        state.cmp = None
-        return
-
-    if name.startswith("cmov"):
-        _exec_cmov(state, name[4:], ops)
-        return
-
-    if name in ("cvtsd2si", "cvttsd2si"):
-        src_op, dst_op = ops
-        if not isinstance(dst_op, Reg64):
-            raise IntervalUnsupported(f"32-bit {name} destination")
-        src = state.src_f64(src_op)
-        if src is TOP:
-            state.set_gp(dst_op, TOP)
-            return
-        rounder = _round_half_even if name == "cvtsd2si" else math.trunc
-        lo = _rounded_int(src.lo, rounder)
-        hi = _rounded_int(src.hi, rounder)
-        if lo == hi:
-            state.stats.concrete_bit_ops += 1
-            state.set_gp(dst_op, lo & M64)
-        else:
-            # Both rounding modes are monotone, so endpoint images bound
-            # every image in between.
-            state.stats.widened_bit_ops += 1
-            state.set_gp(dst_op, IntInterval(lo, hi))
-        return
-
-    if name == "cvtsi2sd":
-        src_op, dst_op = ops
-        if isinstance(src_op, Mem):
-            raise IntervalUnsupported("cvtsi2sd from memory")
-        value = state.gp_operand(src_op)
-        if value is TOP:
-            state.xmm[dst_op.index][0] = _Half("f64", TOP)
-            return
-        if isinstance(value, int):
-            state.stats.concrete_bit_ops += 1
-            bits = cvtsi2sd64(value) if isinstance(src_op, Reg64) \
-                else cvtsi2sd32(value)
-            state.xmm[dst_op.index][0] = _Half.bits(bits)
-            return
-        state.stats.widened_bit_ops += 1
-        lo, hi = float(value.lo), float(value.hi)
-        # float(int) rounds to nearest; push outward unless exact.
-        if int(lo) != value.lo:
-            lo = _down(lo)
-        if int(hi) != value.hi:
-            hi = _up(hi)
-        state.xmm[dst_op.index][0] = _Half("f64", IntervalD(lo, hi))
-        return
-
-    raise IntervalUnsupported(
-        f"opcode {name} outside the interval-analyzable fragment"
-    )
-
-
 def _apply_reg_input(state: _IntervalState, loc: Loc, kind: str,
                      interval: IntervalD) -> None:
     idx = XMM_INDEX[loc.reg]
@@ -1163,18 +808,6 @@ def _apply_reg_input(state: _IntervalState, loc: Loc, kind: str,
         half = state.xmm[idx][loc.lane // 2]
         state.xmm[idx][loc.lane // 2] = half.with_lane(loc.lane % 2,
                                                        interval)
-
-
-def _run_interval(program: Program, mem: Memory,
-                  concrete_gp: Dict[int, int],
-                  mem_inputs, reg_inputs,
-                  stats: Optional[TransferStats] = None) -> _IntervalState:
-    state = _IntervalState(mem, concrete_gp, mem_inputs, stats)
-    for loc, (kind, interval) in reg_inputs.items():
-        _apply_reg_input(state, loc, kind, interval)
-    for instr in program.slots:
-        _exec_interval(state, instr)
-    return state
 
 
 class _StateSnapshot:
@@ -1234,12 +867,6 @@ def _interval_ulp_pair(loc: Location, a, b) -> float:
         raise IntervalUnsupported(f"live-out {loc} is unbounded (TOP)")
     dist = ulp_distance_single if loc.ftype == "f32" else ulp_distance
     return float(max(dist(a.lo, b.hi), dist(a.hi, b.lo)))
-
-
-# Dimension storage keys (must match repro.verify.compile): the coarse
-# memory key plus ('x', xmm_index) per register.
-_MEM_KEY = "mem"
-_XMM_KEYS = tuple(("x", i) for i in range(16))
 
 
 class _Cols:
@@ -1402,6 +1029,12 @@ class _LaneMachine:
         column = np.full(self.batch.n, x, dtype=np.float64)
         self.cols[i] = _Cols(column, column, self.batch.all_bits, high)
 
+    def give_up(self, lanes: np.ndarray, message: str) -> None:
+        """Freeze the live lanes of the mask ``lanes`` with ``message``."""
+        if lanes.any():
+            for k in np.flatnonzero(lanes & self.alive).tolist():
+                self.freeze(k, message)
+
     def interval(self, lo: np.ndarray, hi: np.ndarray):
         """Freeze the live lanes :class:`IntervalD` would reject."""
         bad = (lo != lo) | (hi != hi) | (lo > hi)
@@ -1428,8 +1061,7 @@ class _LaneMachine:
         """Run one compiled closure on every live lane."""
         states = self.lane_states()
         for i, cols in enumerate(self.cols):
-            if cols is not None and (touch is None
-                                     or _XMM_KEYS[i] in touch):
+            if cols is not None and XMM_KEYS[i] in touch:
                 self._scatter(i)
         for k in self.batch.live():
             try:
@@ -1499,11 +1131,9 @@ class IntervalTransfer:
     box or one split at a time; the checker, which knows every leaf up
     front, analyzes them as lanes of a batch (:meth:`analyze_batch`):
     the FP steps the plans give lane forms run as numpy columns, and
-    every other step runs its closure lane by lane, so the closures stay
-    the semantics.  The original dispatching interpreter survives as
-    :meth:`analyze_interpretive`, the oracle the differential tests and
-    ``benchmarks/bench_verify.py`` hold the compiled path to: identical
-    bounds, stats, and error strings.
+    every other step runs its closure lane by lane.  The closures are
+    the one abstract semantics; ``tests/verify/test_transfer_soundness.py``
+    holds each opcode's closure to the emulator's concrete results.
     """
 
     def __init__(self, target: Program, rewrite: Program,
@@ -1537,8 +1167,8 @@ class IntervalTransfer:
     @staticmethod
     def _dim_key(d: Dim):
         if isinstance(d.loc, MemLoc):
-            return _MEM_KEY
-        return ("x", XMM_INDEX[d.loc.reg])
+            return MEM_KEY
+        return XMM_KEYS[XMM_INDEX[d.loc.reg]]
 
     @property
     def root(self) -> BitBox:
@@ -1689,29 +1319,6 @@ class IntervalTransfer:
                 counts = (s.boxes, s.concrete_bit_ops, s.widened_bit_ops)
             results.append((total, per_loc, counts, None))
         return results
-
-    def analyze_interpretive(
-        self, box: BitBox
-    ) -> Tuple[float, Dict[str, float], TransferStats]:
-        """Oracle path: the original per-instruction dispatcher.
-
-        Faithful to the original interpreter including its cost model:
-        the memory image is copied per program per box, as the original
-        ``analyze`` did (states never mutate Memory — stores land in the
-        ``mem_stores`` overlay — so the copies are semantically inert,
-        and the compiled path drops them).
-        """
-        stats = TransferStats(boxes=1)
-        mem_inputs, reg_inputs = self._inputs_of(box.value_box(self.dims))
-        t_state = _run_interval(self.target, self.memory.copy(),
-                                self.concrete_gp, mem_inputs, reg_inputs,
-                                stats)
-        r_state = _run_interval(self.rewrite, self.memory.copy(),
-                                self.concrete_gp, mem_inputs, reg_inputs,
-                                stats)
-        total, per_loc = self._outputs(t_state, r_state,
-                                       (mem_inputs, reg_inputs))
-        return total, per_loc, stats
 
     # -- search work units -------------------------------------------------
 

@@ -7,7 +7,7 @@ paired abstract state per box:
   leading instructions is executed *once* on the single paired state
   (a :class:`~repro.verify.interval._StateSnapshot` forks the two
   suffixes), with the prefix's bit-op accounting replayed so stats stay
-  bit-identical to the two-run semantics of the interpretive oracle.
+  bit-identical to running both programs in full.
 * **Correlated live-outs** — both programs are also executed
   symbolically once at construction (extended fragment of
   :mod:`repro.verify.symbolic`) and the paired expression DAGs compiled

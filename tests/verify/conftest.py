@@ -1,10 +1,10 @@
 """Reference oracles shared by the verification tests.
 
-The search helpers swap one method of a verifier's transfer for the
-length of a test (through ``monkeypatch``), so the same search loop can
-be run against a reference transfer and compared result for result.
-:func:`exhaustive_oracle` is the per-case exhaustive check the column
-pipeline replaced.
+:func:`without_prefix_sharing` swaps one method of a verifier's
+transfer for the length of a test (through ``monkeypatch``), so the
+same search loop can be run with both split children analyzed from
+scratch and compared result for result.  :func:`exhaustive_oracle` is
+the per-case exhaustive check the column pipeline replaced.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.x86.testcase import encode_for
 from repro.core.cost import location_ulp_distance
 from repro.core.runner import Runner
 from repro.verify.exhaustive import ExhaustiveResult
-from repro.verify.interval import IntervalUnsupported
 
 
 def exhaustive_oracle(target, rewrite, live_outs, ranges,
@@ -65,28 +64,6 @@ def exhaustive_oracle(target, rewrite, live_outs, ranges,
             counterexample = test
     return ExhaustiveResult(max_ulps=worst, cases_checked=checked,
                             counterexample=counterexample)
-
-
-def interpretive_search(verifier, monkeypatch) -> None:
-    """Drive ``verifier``'s search through the interpretive oracle
-    instead of the compiled transfer, one from-scratch box at a time —
-    the transfer the removed reference engine ran."""
-    transfer = verifier.transfer
-
-    def unit(box):
-        try:
-            bound, per_loc, stats = transfer.analyze_interpretive(box)
-        except IntervalUnsupported as exc:
-            return (math.inf, None, (1, 0, 0), str(exc)), None
-        return (bound, per_loc, (stats.boxes, stats.concrete_bit_ops,
-                                 stats.widened_bit_ops), None), None
-
-    def split(box, dim):
-        left, right = box.split(dim)
-        return unit(left)[0], unit(right)[0], None
-
-    monkeypatch.setattr(transfer, "analyze_unit", unit)
-    monkeypatch.setattr(transfer, "analyze_split", split)
 
 
 def without_prefix_sharing(verifier, monkeypatch) -> None:

@@ -2,11 +2,11 @@
 
 The search's contract is stronger than soundness: for a fixed
 :class:`BnBConfig` its refinement order, leaf tiling, certified bound,
-and certificate bytes are fixed — independent of prefix sharing, of
-the transfer implementation (compiled closures vs the interpretive
-oracle), and of mid-run checkpoint/resume.  These tests pin each
-clause against the interpretive oracle, against certificate digests
-recorded before the search was cut down to one in-process loop, and
+and certificate bytes are fixed — independent of prefix sharing and of
+mid-run checkpoint/resume.  These tests pin each clause against
+certificate digests recorded before the search was cut down to one
+in-process loop (while a reference engine and an interpretive transfer
+still agreed with it), against the search with prefix sharing off, and
 against brute-force oracles.
 """
 
@@ -18,17 +18,17 @@ import random
 import pytest
 
 from repro.x86.assembler import assemble
-from repro.x86.memory import Segment
+from repro.x86.memory import Memory, Segment
 from repro.x86.testcase import TestCase
 
 from repro.core.serialize import canonical_json
+from repro.kernels.aek import vector as V
 from repro.kernels.libimf import LIBIMF_KERNELS
 from repro.verify import exhaustive_check
 from repro.verify.bnb import BnBCheckpoint, BnBConfig, BnBVerifier
 from repro.verify.partition import BitBox, covered_seed_count
 
-from tests.verify.conftest import (exhaustive_oracle, interpretive_search,
-                                   without_prefix_sharing)
+from tests.verify.conftest import exhaustive_oracle, without_prefix_sharing
 
 REDUCED_DEGREE = {"sin": 9, "cos": 8, "tan": 9, "log": 12, "exp": 8}
 
@@ -73,6 +73,15 @@ def _poly_verifier():
     return BnBVerifier(target, rewrite, ["xmm0"], {"xmm0": (0.5, 2.0)})
 
 
+def _delta_verifier():
+    spec = V.delta_kernel()
+    ranges = dict(spec.ranges)
+    ranges.update(V.delta_mem_ranges())
+    return BnBVerifier(spec.program, V.delta_rewrite(), spec.live_outs,
+                       ranges, memory=Memory(V.aek_segments()),
+                       concrete_gp=V.CONCRETE_GP_INDICES)
+
+
 def _libimf_verifier(name, domain="separate"):
     factory = LIBIMF_KERNELS[name]
     spec = factory()
@@ -95,29 +104,7 @@ def _partition(result):
 
 
 class TestEngineIdentity:
-    """The search over compiled transfers matches the same search over
-    the interpretive oracle, certificate byte for certificate byte."""
-
-    @pytest.mark.parametrize("name", ["sin", "log"])
-    def test_batched_matches_reference_cert(self, name, monkeypatch):
-        verifier = _libimf_verifier(name)
-        cfg = BnBConfig(max_boxes=64)
-        compiled = verifier.run(cfg)
-        compiled_digest = _cert_digest(verifier, compiled, cfg)
-        interpretive_search(verifier, monkeypatch)
-        oracle = verifier.run(cfg)
-        assert _partition(compiled) == _partition(oracle)
-        assert compiled_digest == _cert_digest(verifier, oracle, cfg)
-
-    def test_batched_matches_reference_with_seeds(self, monkeypatch):
-        verifier = _poly_verifier()
-        cfg = BnBConfig(max_boxes=48, seeds=POLY_SEEDS)
-        compiled = verifier.run(cfg)
-        interpretive_search(verifier, monkeypatch)
-        oracle = verifier.run(cfg)
-        assert _partition(compiled) == _partition(oracle)
-        assert compiled.seeds_covered == oracle.seeds_covered
-        assert compiled.boxes_pruned == oracle.boxes_pruned
+    """The one search runs in-process; certificates record one job."""
 
     def test_jobs_other_than_one_rejected(self):
         with pytest.raises(ValueError, match="in-process"):
@@ -269,18 +256,19 @@ class TestCheckpointResume:
         assert _cert_digest(verifier, resumed, config) == \
             _cert_digest(verifier, baseline, config)
 
-    def test_resume_under_reference_engine_matches_batched(self,
-                                                           monkeypatch):
+    @pytest.mark.parametrize("name", ["poly", "delta"])
+    def test_resume_without_sharing_matches(self, name, monkeypatch):
         # Checkpoints carry no transfer state: a snapshot written by the
-        # compiled search resumes under the interpretive oracle to the
-        # identical partition.
-        verifier = _poly_verifier()
+        # search with prefix sharing resumes under the from-scratch
+        # transfer to the identical partition.  (delta's memory inputs
+        # are first read at steps 3 and 7, so its splits share.)
+        verifier = _poly_verifier() if name == "poly" else _delta_verifier()
         cfg = BnBConfig(max_boxes=64)
         baseline = verifier.run(cfg)
         snapshots = []
         verifier.run(cfg, checkpoint_rounds=5,
                      on_checkpoint=snapshots.append)
-        interpretive_search(verifier, monkeypatch)
+        without_prefix_sharing(verifier, monkeypatch)
         resumed = verifier.run(cfg, resume=snapshots[0])
         assert _partition(resumed) == _partition(baseline)
 

@@ -30,6 +30,7 @@ from repro.validation import ValidationConfig, Validator
 from repro.verify import checker, exhaustive_check
 from repro.verify.bnb import BnBConfig, BnBVerifier, seeds_from_validation
 from repro.verify.certificate import Certificate
+from repro.verify.partition import BitBox
 
 from tests.verify.test_bnb_batched import LIBIMF_GRID_PINS
 
@@ -140,6 +141,41 @@ class TestDominance:
         assert result.complete
         assert validation.max_err <= result.bound_ulps
         assert result.seeds_covered == len(seeds)
+
+
+class TestPossibleNaN:
+    """A NaN lies in no interval: a rule whose operands admit one gives
+    up instead of bounding the other outcomes."""
+
+    def _pair(self):
+        # x * (1e300 * 1e300) is 0 * inf = NaN at x = 0; the rewrite
+        # returns 0.
+        target = assemble("movq $1e300d, xmm1\nmulsd xmm1, xmm1\n"
+                          "mulsd xmm0, xmm1\nmovsd xmm1, xmm0\n")
+        rewrite = assemble("xorpd xmm0, xmm0\n")
+        return target, rewrite, {"xmm0": (0.0, 1.0)}
+
+    def test_bound_covers_exhaustive_maximum(self):
+        target, rewrite, ranges = self._pair()
+        verifier = BnBVerifier(target, rewrite, ["xmm0"], ranges)
+        result = verifier.run(BnBConfig(max_boxes=64))
+        exact = exhaustive_check(target, rewrite, ["xmm0"], ranges,
+                                 lambda: TestCase({}), bits_per_input=8)
+        assert exact.max_ulps > 9e18  # the NaN against 0
+        assert result.bound_ulps >= exact.max_ulps
+        assert result.bound_ulps == math.inf and not result.complete
+        report = checker.check(verifier.certificate(result), target,
+                               rewrite)
+        assert report.ok, report.failures
+
+    def test_point_box_at_zero_is_unsupported(self):
+        target, rewrite, ranges = self._pair()
+        verifier = BnBVerifier(target, rewrite, ["xmm0"], ranges)
+        (lo, _), = verifier.transfer.root.bounds
+        (bound, per_loc, _, error), _ = verifier.transfer.analyze_unit(
+            BitBox(((lo, lo),)))
+        assert (bound, per_loc, error) == (math.inf, None,
+                                           "possible NaN: 0 * inf")
 
 
 class TestCheckerRejectsTampering:

@@ -156,8 +156,10 @@ class TestNeverLooser:
         assert rel.relational_error is None
         rng = random.Random(3)
         for box in self._boxes(sep, rng):
-            s_bound, _, _ = sep.analyze_with_stats(box)
-            r_bound, _, _ = rel.analyze_with_stats(box)
+            # A box outside the fragment bounds at inf in both domains
+            # (tan's near-root divisions admit 0 / 0).
+            (s_bound, *_), _ = sep.analyze_unit(box)
+            (r_bound, *_), _ = rel.analyze_unit(box)
             assert r_bound <= s_bound, box.bounds
 
     def test_strictly_tighter_on_correlated_kernels(self):

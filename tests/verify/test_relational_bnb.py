@@ -2,11 +2,11 @@
 forged-document rejection.
 
 The relational domain plugs into the one BnB search, so every
-search-level identity — checkpoint/resume bit-identity, agreement with
-the interpretive oracle, invisible prefix sharing — must hold
-unchanged with ``domain='relational'``; and its certificates must
-round-trip through the independent checker, which re-derives each leaf
-in the same domain and rejects tampered or forged documents.
+search-level identity — checkpoint/resume bit-identity, invisible
+prefix sharing — must hold unchanged with ``domain='relational'``; and
+its certificates must round-trip through the independent checker, which
+re-derives each leaf in the same domain and rejects tampered or forged
+documents.
 """
 
 import dataclasses
@@ -23,7 +23,7 @@ from repro.verify import checker
 from repro.verify.bnb import BnBCheckpoint, BnBConfig, BnBVerifier
 from repro.verify.certificate import Certificate
 
-from tests.verify.conftest import interpretive_search, without_prefix_sharing
+from tests.verify.conftest import without_prefix_sharing
 
 REDUCED_DEGREE = {"sin": 9, "cos": 8, "tan": 9, "log": 12, "exp": 8}
 
@@ -95,15 +95,16 @@ class TestRelationalCheckpointResume:
             _cert_digest(verifier, baseline, config)
 
     def test_checkpoints_engine_portable(self, monkeypatch):
-        # A relational snapshot written by the compiled search resumes
-        # under the interpretive oracle to the identical partition.
+        # A relational snapshot written by the search with prefix
+        # sharing resumes under the from-scratch transfer to the
+        # identical partition.
         verifier = _poly_verifier()
         cfg = BnBConfig(max_boxes=64)
         baseline = verifier.run(cfg)
         snapshots = []
         verifier.run(cfg, checkpoint_rounds=5,
                      on_checkpoint=snapshots.append)
-        interpretive_search(verifier, monkeypatch)
+        without_prefix_sharing(verifier, monkeypatch)
         resumed = verifier.run(cfg, resume=snapshots[0])
         assert _partition(resumed) == _partition(baseline)
 
@@ -133,19 +134,6 @@ class TestRelationalCheckpointResume:
 
 
 class TestRelationalEngineIdentity:
-    @pytest.mark.parametrize("name", ["exp", "tan"])
-    def test_batched_matches_reference(self, name, monkeypatch):
-        # The relational search over compiled transfers (with the
-        # shared-prefix collapse) matches the interpretive oracle.
-        verifier = _libimf_verifier(name)
-        cfg = BnBConfig(max_boxes=48)
-        compiled = verifier.run(cfg)
-        compiled_digest = _cert_digest(verifier, compiled, cfg)
-        interpretive_search(verifier, monkeypatch)
-        oracle = verifier.run(cfg)
-        assert _partition(compiled) == _partition(oracle)
-        assert compiled_digest == _cert_digest(verifier, oracle, cfg)
-
     @pytest.mark.parametrize("name", ["exp", "log"])
     def test_prefix_sharing_invisible(self, name, monkeypatch):
         # exp/log have long literal shared prefixes, so the collapsed

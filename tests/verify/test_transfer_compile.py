@@ -1,12 +1,14 @@
-"""Differential tests for the translate-once transfer compiler.
+"""Tests for the translate-once transfer compiler.
 
-The compiled per-instruction closures (:mod:`repro.verify.compile`)
-must replicate the interpretive abstract interpreter bit-for-bit:
-identical bounds, per-live-out maps, stats accounting, and error
-strings, on every shipped kernel and on random subdivisions of each
-verification domain.  Prefix sharing (:meth:`IntervalTransfer.
-analyze_split`) must likewise be invisible in results — it may only
-save time.  Both hold in the separate and the relational domain.
+The compiled per-instruction closures (:mod:`repro.verify.compile`) are
+the interval semantics; ``test_transfer_soundness.py`` holds them to the
+emulator.  Here: the dependence metadata (touch sets, first touches),
+the fragment boundary (every opcode without a compiler, and every shape
+a compiler rejects, fails with one canonical message on every path),
+profiling, and that prefix sharing (:meth:`IntervalTransfer.
+analyze_split`) and the relational shared-prefix collapse are invisible
+in results — they may only save time.  Sharing is checked in the
+separate and the relational domain.
 """
 
 import math
@@ -16,10 +18,12 @@ import pytest
 
 from repro.x86.assembler import assemble
 from repro.x86.memory import Memory
+from repro.x86.opcodes import OPCODES
+from repro.x86.operands import Kind
 
 from repro.kernels.aek import vector as V
 from repro.kernels.libimf import LIBIMF_KERNELS
-from repro.verify.compile import MEM_KEY, compile_transfer
+from repro.verify.compile import _COMPILERS, MEM_KEY, compile_transfer
 from repro.verify.interval import IntervalTransfer, IntervalUnsupported
 from repro.verify.relational.domain import RelationalTransfer
 
@@ -75,50 +79,6 @@ def _sample_boxes(transfer, rng, count=24):
 
 def _stats_triple(stats):
     return (stats.boxes, stats.concrete_bit_ops, stats.widened_bit_ops)
-
-
-class TestCompiledMatchesInterpretive:
-    cls = IntervalTransfer
-
-    @pytest.mark.parametrize("name", sorted(LIBIMF_KERNELS))
-    def test_libimf_differential(self, name):
-        transfer = _libimf_transfer(name, self.cls)
-        rng = random.Random(hash(name) & 0xFFFF)
-        for box in _sample_boxes(transfer, rng):
-            total_c, per_c, stats_c = transfer.analyze_with_stats(box)
-            total_i, per_i, stats_i = transfer.analyze_interpretive(box)
-            assert total_c == total_i
-            assert per_c == per_i
-            assert _stats_triple(stats_c) == _stats_triple(stats_i)
-
-    def test_delta_differential(self):
-        # Memory-backed dims, concrete GP state, and MemLoc live-outs.
-        transfer = _delta_transfer(self.cls)
-        rng = random.Random(7)
-        for box in _sample_boxes(transfer, rng, count=16):
-            total_c, per_c, stats_c = transfer.analyze_with_stats(box)
-            total_i, per_i, stats_i = transfer.analyze_interpretive(box)
-            assert total_c == total_i
-            assert per_c == per_i
-            assert _stats_triple(stats_c) == _stats_triple(stats_i)
-
-    def test_poly_differential(self):
-        target, rewrite = _poly_pair()
-        transfer = self.cls(target, rewrite, ["xmm0"], {"xmm0": (0.5, 2.0)})
-        rng = random.Random(0)
-        for box in _sample_boxes(transfer, rng):
-            total_c, per_c, _ = transfer.analyze_with_stats(box)
-            total_i, per_i, _ = transfer.analyze_interpretive(box)
-            assert total_c == total_i
-            assert per_c == per_i
-
-
-class TestRelationalCompiledMatchesInterpretive(
-        TestCompiledMatchesInterpretive):
-    """The shared-prefix collapse and the paired-DAG windows leave the
-    compiled relational path equal to the interpretive one."""
-
-    cls = RelationalTransfer
 
 
 class TestFirstTouch:
@@ -206,22 +166,99 @@ class TestProfile:
         assert op_secs is None
 
 
+def _unit(transfer, box):
+    """``analyze_with_stats`` as (bound, per-live-out map, counts), or
+    the error text."""
+    try:
+        total, per_loc, stats = transfer.analyze_with_stats(box)
+    except IntervalUnsupported as exc:
+        return str(exc)
+    return total, per_loc, _stats_triple(stats)
+
+
+class TestSharedPrefixCollapse:
+    """The relational transfer runs the pair's common leading
+    instructions once; its results equal running both programs."""
+
+    @pytest.mark.parametrize("name,prefix", [("exp", 11), ("log", 22)])
+    def test_collapse_matches_two_runs(self, name, prefix, monkeypatch):
+        transfer = _libimf_transfer(name, RelationalTransfer)
+        assert transfer.shared_prefix == prefix
+        boxes = _sample_boxes(transfer, random.Random(name))
+        collapsed = [_unit(transfer, box) for box in boxes]
+        monkeypatch.setattr(transfer, "shared_prefix", 0)
+        assert [_unit(transfer, box) for box in boxes] == collapsed
+        assert any(not isinstance(unit, str) and unit[2][1]
+                   for unit in collapsed), "no concrete bit op ran"
+
+
+# Operands for the one-instruction programs below, by slot kind: the
+# destination is xmm0 (the live-out) or rax.
+_OPERAND = {Kind.XMM: "xmm1", Kind.R64: "rcx", Kind.R32: "ecx",
+            Kind.IMM: "$1"}
+_DEST = {Kind.XMM: "xmm0", Kind.R64: "rax", Kind.R32: "eax"}
+
+
+def _outside_fragment():
+    """(instruction text, expected message) for every ISA opcode without
+    a compiler, plus a shape its compiler rejects."""
+    cases = []
+    for name, spec in sorted(OPCODES.items()):
+        if name in _COMPILERS or name.startswith("cmov") or name == "nop":
+            continue
+        *sources, dest = spec.slots
+        ops = [next(_OPERAND[k] for k in _OPERAND if k in slot.kinds)
+               for slot in sources]
+        ops.append(next(_DEST[k] for k in _DEST if k in dest.kinds))
+        cases.append((f"{name} {', '.join(ops)}",
+                      f"opcode {name} outside the interval-analyzable "
+                      f"fragment"))
+    cases.append(("xorpd xmm1, xmm0", "xorpd outside the zeroing idiom"))
+    return cases
+
+
+_OUTSIDE = _outside_fragment()
+
+
 class TestUnsupportedParity:
-    def test_error_string_matches_interpreter(self):
-        # Non-zeroing xorpd is outside the interval fragment: the
-        # compiled closure must fail with the interpreter's message.
+    def test_every_isa_opcode_has_a_step(self):
+        # 28 ISA opcodes have no compiler; nop is dropped at compile
+        # time and the cmov family is matched by prefix.
+        assert len(_OUTSIDE) == 28 + 1
+
+    @pytest.mark.parametrize("cls", [IntervalTransfer, RelationalTransfer])
+    @pytest.mark.parametrize("text,message", _OUTSIDE,
+                             ids=[t.split()[0] for t, _ in _OUTSIDE[:-1]]
+                             + ["xorpd-nonzeroing"])
+    def test_canonical_message_on_every_path(self, text, message, cls):
+        _, rewrite = _poly_pair()
+        transfer = cls(assemble(text + "\n"), rewrite, ["xmm0"],
+                       {"xmm0": (0.5, 2.0)})
+        plan = transfer._plans[0]
+        assert plan.touches == [frozenset()]
+        box = transfer.root
+        unit, op_secs = transfer.analyze_unit(box)
+        assert unit == (math.inf, None, (1, 0, 0), message)
+        assert op_secs is None
+        left, right, _ = transfer.analyze_split(box, box.widest_dim())
+        assert left == right == unit
+        assert transfer.analyze_batch(list(box.split(0))) == [unit, unit]
+
+    def test_error_string_is_canonical(self):
+        # Non-zeroing xorpd is outside the interval fragment.
         target = assemble("xorpd xmm1, xmm0\n")
         _, rewrite = _poly_pair()
         transfer = IntervalTransfer(target, rewrite, ["xmm0"],
                                     {"xmm0": (0.5, 2.0)})
-        with pytest.raises(IntervalUnsupported) as excinfo:
-            transfer.analyze_interpretive(transfer.root)
+        with pytest.raises(IntervalUnsupported,
+                           match="^xorpd outside the zeroing idiom$"):
+            transfer.analyze_with_stats(transfer.root)
         (bound, per_loc, delta, error), op_secs = \
             transfer.analyze_unit(transfer.root)
         assert bound == math.inf
         assert per_loc is None
         assert delta == (1, 0, 0)
-        assert error == str(excinfo.value)
+        assert error == "xorpd outside the zeroing idiom"
         assert op_secs is None
 
     def test_split_reports_failure_on_both_children(self):

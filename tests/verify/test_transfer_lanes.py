@@ -193,21 +193,23 @@ _DIV = [("divsd", "xmm1", "xmm0")]
 @settings(max_examples=150, deadline=None)
 @given(target=_program, rewrite=_program,
        boxes=st.lists(_box, min_size=1, max_size=6))
-# 0 * inf products (NaN products count as 0)
+# 0 * inf products: possible NaNs freeze the lane
 @example(target=_MUL, rewrite=_MUL,
-         boxes=[((0.0, 1.0), (1.0, INF)), ((-INF, 0.0), (0.0, 0.0))])
-# inf - inf: a "bad interval" lane next to good ones
+         boxes=[((0.0, 1.0), (1.0, INF)), ((-INF, 0.0), (0.0, 0.0)),
+                ((-1.0, 1.0), (2.0, 3.0))])
+# inf - inf: a possible-NaN lane next to good ones
 @example(target=_SUB, rewrite=_ADD,
          boxes=[((INF, INF), (INF, INF)), ((1.0, 2.0), (1.0, 2.0)),
                 ((-INF, -INF), (INF, INF))])
 # results at +-inf are not rounded inward
 @example(target=_ADD, rewrite=_SUB,
          boxes=[((INF, INF), (1.0, 1.0)), ((-INF, -INF), (1.0, 1.0))])
-# zero-straddling divisors, and NaN quotients (inf / inf)
+# zero-straddling divisors, and possible NaN quotients (0 / 0,
+# inf / inf)
 @example(target=_DIV, rewrite=_MUL,
          boxes=[((1.0, 2.0), (-1.0, 1.0)), ((1.0, 2.0), (0.0, 1.0)),
                 ((1.0, INF), (1.0, INF)), ((INF, INF), (INF, INF)),
-                ((1.0, 2.0), (2.0, 4.0))])
+                ((-1.0, 2.0), (-3.0, 4.0)), ((1.0, 2.0), (2.0, 4.0))])
 # NaN immediates, and constants read back as single lanes
 @example(target=[("movq", 0x7FF8000000000000, "xmm2"),
                  ("addsd", "xmm2", "xmm0")],
@@ -289,7 +291,7 @@ def _assert_check_matches(cert, target, rewrite, **env):
 
 
 def _unreachable_pair():
-    """``-inf + inf`` leaves the lowest leaf of ``[-inf, 0]``
+    """``-inf + inf`` may be NaN, so the lowest leaf of ``[-inf, 0]`` is
     unanalyzable: a ``complete = False`` certificate."""
     target = assemble("movq $0x7ff0000000000000, xmm1\n"
                       "addsd xmm1, xmm0\n")
@@ -374,7 +376,7 @@ class TestCheckerChunks:
         bounds[unreachable] = 1.0
         bad = dataclasses.replace(cert, leaf_bounds=tuple(bounds))
         report = _assert_check_matches(bad, target, rewrite)
-        assert any("cannot reach the box (bad interval" in f
+        assert any("cannot reach the box (possible NaN: inf + -inf)" in f
                    for f in report.failures)
 
     @pytest.mark.parametrize("max_failures", [5, 16])
