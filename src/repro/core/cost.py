@@ -40,7 +40,7 @@ from repro.x86.jit import compile_program  # noqa: F401
 from repro.x86.locations import Loc, MemLoc
 from repro.x86.program import Program
 from repro.x86.signals import Signal, SignalError
-from repro.x86.stepper import bound_steps
+from repro.x86.stepper import bound_steps, lane_steps, run_lanes
 from repro.x86.testcase import TestCase
 
 from repro.core.perf import LatencyPerf
@@ -144,13 +144,15 @@ class _IncPlan:
 
     Built once per proposal from its edit span; holds the resume
     boundary, the content-addressed prefix key (None for a boundary-0
-    plan, which has no prefix to restore), the fallback capture bases,
-    the bound steps of the suffix ``[boundary, end)``, and the capture
-    segments ``[base, boundary)`` bound so far, by base.
+    plan, which has no prefix to restore), the fallback capture bases
+    and, once a capture needs them, their prefix keys, the bound steps
+    of the suffix ``[boundary, end)`` and, once a chunk of two or more
+    tests runs, its lane steps, and the capture segments ``[base,
+    boundary)`` bound so far, by base.
     """
 
-    __slots__ = ("slots", "boundary", "prefix_key", "bases", "writes_at_b",
-                 "promise", "steps", "segments")
+    __slots__ = ("slots", "boundary", "prefix_key", "bases", "base_keys",
+                 "writes_at_b", "promise", "steps", "lanes", "segments")
 
 
 class CostFunction:
@@ -190,6 +192,13 @@ class CostFunction:
         self._weights = tuple(
             config.wm if isinstance(loc, MemLoc) else config.wr
             for loc in locs)
+        # Per-location (mask, sign bit) of the f64/f32 ordered-key
+        # distance, or None for the Hamming distance (_err_values).
+        self._ulp_widths = tuple(
+            (DOUBLE.mask, DOUBLE.sign_mask) if loc.ftype == "f64" else
+            (SINGLE.mask, SINGLE.sign_mask) if loc.ftype == "f32" else None
+            for loc in locs)
+        self._log2_excess = config.compress == "log2"
         # Full (non-early-terminated) evaluations are memoized in a
         # bounded LRU: MCMC proposals frequently revisit recently seen
         # programs, and evicting one-at-a-time avoids the cold-cache
@@ -218,23 +227,40 @@ class CostFunction:
 
     # -- equivalence -----------------------------------------------------
 
-    def _excess(self, ulps: float) -> float:
-        """max(0, ulps - eta), optionally log2-compressed."""
-        excess = ulps - self.config.eta
-        if excess <= 0.0:
-            return 0.0
-        if self.config.compress == "log2":
-            return math.log2(1.0 + excess)
-        return excess
-
     def _err_values(self, values: Tuple[int, ...],
                     expected: Tuple[int, ...]) -> float:
-        """Equation 9 over aligned live-out bits tuples (hot path)."""
+        """Equation 9 over aligned live-out bits tuples (hot path).
+
+        Each location adds its weight times its excess ``max(0, ulps -
+        eta)``, log2-compressed under ``compress="log2"``.  ``ulps`` is
+        :func:`location_ulp_distance` inlined: a pattern with the sign
+        bit set maps to minus its magnitude (the ordered key of
+        ``ordered_from_bits``, so -0 and +0 share key 0), the keys'
+        distance is rounded once by ``float()``, and an integer
+        location counts the set bits of the XOR.
+        """
+        eta = self.config.eta
+        log2_excess = self._log2_excess
         total = 0.0
-        for loc, weight, got, want in zip(self.runner.live_outs,
-                                          self._weights, values, expected):
-            total += weight * self._excess(
-                location_ulp_distance(loc, got, want))
+        for width, weight, got, want in zip(self._ulp_widths, self._weights,
+                                            values, expected):
+            if width is None:
+                ulps = float(bin(got ^ want).count("1"))
+            else:
+                mask, sign = width
+                got &= mask
+                want &= mask
+                if got & sign:
+                    got = sign - got
+                if want & sign:
+                    want = sign - want
+                ulps = float(got - want if got > want else want - got)
+            excess = ulps - eta
+            if excess <= 0.0:
+                excess = 0.0
+            elif log2_excess:
+                excess = math.log2(1.0 + excess)
+            total += weight * excess
         return total
 
     # Batch chunk ladder: the first chunk is a single test case (with
@@ -396,7 +422,9 @@ class CostFunction:
             plan.bases = ()
             plan.writes_at_b = None  # no prefix, nothing to capture
             plan.promise = program_writes(rewrite)
+        plan.base_keys = None
         plan.steps = bound_steps(slots[boundary:])
+        plan.lanes = None
         plan.segments = {}
         return plan
 
@@ -429,10 +457,14 @@ class CostFunction:
         if cp is not None:
             return cp, None
         slots = plan.slots
+        base_keys = plan.base_keys
+        if base_keys is None:
+            base_keys = plan.base_keys = tuple(
+                (b, PrefixKey(slots[:b])) for b in plan.bases)
         base = 0
         base_cp = None
-        for b in plan.bases:
-            candidate = test._checkpoints.get(slots[:b])
+        for b, key in base_keys:
+            candidate = test._checkpoints.get(key)
             if candidate is not None:
                 base, base_cp = b, candidate
                 break
@@ -470,6 +502,13 @@ class CostFunction:
         capture run doubles as the prefix execution).  A boundary-0
         plan has no prefix: its "suffix" is the whole program, run on
         the pooled state.
+
+        A one-test chunk runs the suffix as bound steps.  A chunk of two
+        or more tests brings every test to the boundary first, then runs
+        the suffix once over all of their states as a lane batch
+        (:func:`~repro.x86.stepper.run_lanes`), which leaves each state
+        as its bound steps would; a one-lane batch is slower than the
+        bound steps, so the chunk size alone picks the path.
         """
         tests = self.tests
         values_of = self.runner.values_of
@@ -477,22 +516,45 @@ class CostFunction:
         promise = plan.promise
         resumes = plan.prefix_key is not None
 
+        def at_boundary(test):
+            """``(state, None)`` at the plan boundary, or ``(None,
+            signal)`` when the prefix signals on ``test``."""
+            if not resumes:
+                return test.pooled_state(promise), None
+            cp, state = self._ensure_checkpoint(test, plan)
+            if cp.signal is not None:
+                return None, cp.signal
+            if state is None:
+                state = test.pooled_state(promise)
+                cp.apply(state)
+            return state, None
+
         def run_chunk(index: int, end: int):
+            if end - index == 1:
+                state, signal = at_boundary(tests[index])
+                if signal is None:
+                    signal = _run_steps(steps, state)
+                if signal is not None:
+                    return ((None, signal),)
+                return ((values_of(state), None),)
             out = []
+            live = []
+            states = []
             for test in tests[index:end]:
-                if not resumes:
-                    state = test.pooled_state(promise)
-                else:
-                    cp, state = self._ensure_checkpoint(test, plan)
-                    if cp.signal is not None:
-                        out.append((None, cp.signal))
-                        continue
-                    if state is None:
-                        state = test.pooled_state(promise)
-                        cp.apply(state)
-                signal = _run_steps(steps, state)
-                out.append((None, signal) if signal is not None
-                           else (values_of(state), None))
+                state, signal = at_boundary(test)
+                if signal is None:
+                    live.append(len(out))
+                    states.append(state)
+                out.append((None, signal))
+            if states:
+                lanes = plan.lanes
+                if lanes is None:
+                    lanes = plan.lanes = lane_steps(
+                        plan.slots[plan.boundary:])
+                for k, state, signal in zip(live, states,
+                                            run_lanes(lanes, states)):
+                    out[k] = ((None, signal) if signal is not None
+                              else (values_of(state), None))
             return out
 
         return self._eq_loop(run_chunk, early_reject_above, perf_term)

@@ -138,6 +138,10 @@ class Transforms:
         if unknown or not kinds:
             raise ValueError(f"bad move kinds: {unknown or kinds!r}")
         self.move_kinds = kinds
+        # Opcodes of the pool accepting each operand tuple, in pool
+        # order (propose_opcode's candidates before excluding the
+        # current opcode).
+        self._accepting: Dict[Tuple[Operand, ...], List[str]] = {}
 
     # -- individual moves -------------------------------------------------
     #
@@ -155,13 +159,22 @@ class Transforms:
             return None
         index = rng.choice(slots)
         instr = program.slots[index]
-        compatible = [name for name in self.opcode_pool
-                      if name != instr.opcode
-                      and OPCODES[name].accepts(instr.operands)]
+        compatible = [name for name in self.accepting(instr.operands)
+                      if name != instr.opcode]
         if not compatible:
             return None
         return program.with_slot(
             index, Instruction(rng.choice(compatible), instr.operands)), index
+
+    def accepting(self, operands: Tuple[Operand, ...]) -> List[str]:
+        """The pool's opcodes that accept ``operands``, in pool order
+        (memoized per operand tuple; the pool is fixed)."""
+        names = self._accepting.get(operands)
+        if names is None:
+            names = self._accepting[operands] = [
+                name for name in self.opcode_pool
+                if OPCODES[name].accepts(operands)]
+        return names
 
     def propose_operand(self, rng: random.Random, program: Program
                         ) -> Optional[Tuple[Program, int]]:

@@ -164,16 +164,21 @@ def _up(x: float, _isinf=math.isinf, _next=math.nextafter,
     return x if _isinf(x) else _next(x, _inf)
 
 
+# An endpoint past the float32 range rounds to +-inf, which is the
+# intended result; numpy would also warn about the overflow, in the cast
+# or in nextafter, so both run with overflow warnings off.
 def _down32(x: float) -> float:
-    f = np.float32(x)
-    return float(np.nextafter(f, np.float32(-np.inf))) if np.isfinite(f) \
-        else float(f)
+    with np.errstate(over="ignore"):
+        f = np.float32(x)
+        return float(np.nextafter(f, np.float32(-np.inf))) \
+            if np.isfinite(f) else float(f)
 
 
 def _up32(x: float) -> float:
-    f = np.float32(x)
-    return float(np.nextafter(f, np.float32(np.inf))) if np.isfinite(f) \
-        else float(f)
+    with np.errstate(over="ignore"):
+        f = np.float32(x)
+        return float(np.nextafter(f, np.float32(np.inf))) \
+            if np.isfinite(f) else float(f)
 
 
 # Why a rule gives up: its operands admit a NaN result, which no

@@ -33,7 +33,9 @@ import math
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
+from repro.x86.liveness import uses_and_defs
 from repro.x86.program import Program
+from repro.x86.registers import GP64_NAMES, XMM_NAMES
 from repro.x86.signals import Signal
 
 # Checkpoints across all test cases share one byte budget; the store
@@ -46,6 +48,9 @@ DEFAULT_STORE_BUDGET = 32 * 1024 * 1024
 # costs a Python int plus a tuple slot.
 _BYTES_PER_SLOT = 32
 _BYTES_BASE = 96
+
+_GP_INDEX = {name: i for i, name in enumerate(GP64_NAMES)}
+_XMM_INDEX = {name: i for i, name in enumerate(XMM_NAMES)}
 
 
 class PrefixKey(tuple):
@@ -110,40 +115,26 @@ def union_writes(a: tuple, b: tuple) -> tuple:
             a[3] or b[3])
 
 
-# Per-instruction def-set contributions, memoized: program_writes runs
-# once per proposal on the incremental path, and recomputing
-# uses_and_defs for ~n slots dwarfed the work it was sizing.  Novel
-# instructions (fresh immediates) accumulate, so the cache is capped and
-# dropped wholesale when full — refilling is cheap.
-_INSTR_WRITES_CACHE: Dict[object, tuple] = {}
-_INSTR_WRITES_CACHE_CAP = 65536
-
-
 def _instr_writes(instr) -> tuple:
-    """``(gp_indices, xmm_indices, writes_mem)`` defs of one instruction."""
-    cached = _INSTR_WRITES_CACHE.get(instr)
-    if cached is not None:
-        return cached
-    from repro.x86.liveness import uses_and_defs
-    from repro.x86.registers import GP64_NAMES, XMM_NAMES
-
-    gp_index = {name: i for i, name in enumerate(GP64_NAMES)}
-    xmm_index = {name: i for i, name in enumerate(XMM_NAMES)}
+    """``(gp_indices, xmm_indices, writes_mem)`` defs of one instruction,
+    memoized on it: ``program_writes`` runs once per proposal on the
+    incremental path, and recomputing ``uses_and_defs`` for ~n slots
+    dwarfed the work it was sizing."""
+    try:
+        return instr._writes
+    except AttributeError:
+        pass
     gp, xmm = set(), set()
     mem = False
     _uses, defs = uses_and_defs(instr)
     for name in defs:
         if name == "mem":
             mem = True
-        elif name in gp_index:
-            gp.add(gp_index[name])
-        elif name in xmm_index:
-            xmm.add(xmm_index[name])
-    entry = (frozenset(gp), frozenset(xmm), mem)
-    if len(_INSTR_WRITES_CACHE) >= _INSTR_WRITES_CACHE_CAP:
-        _INSTR_WRITES_CACHE.clear()
-    _INSTR_WRITES_CACHE[instr] = entry
-    return entry
+        elif name in _GP_INDEX:
+            gp.add(_GP_INDEX[name])
+        elif name in _XMM_INDEX:
+            xmm.add(_XMM_INDEX[name])
+    return instr.memoize("_writes", (frozenset(gp), frozenset(xmm), mem))
 
 
 def program_writes(program: Program, start: int = 0,

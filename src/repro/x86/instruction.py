@@ -68,6 +68,20 @@ class Instruction:
             object.__setattr__(self, "_latency", value)
             return value
 
+    def memoize(self, name: str, value):
+        """Attach ``value`` as the memo attribute ``name`` and return it.
+
+        Modules that derive per-instruction data on the evaluator's hot
+        path keep it here rather than in module dicts keyed by
+        instruction, whose lookups would hash the instruction each time:
+        the bound step and lane step (``_step``, ``_lane``,
+        :mod:`repro.x86.stepper`) and the def set (``_writes``,
+        :mod:`repro.x86.checkpoint`).  The memo lives and dies with the
+        instruction; equal instructions derive equal values.
+        """
+        object.__setattr__(self, name, value)
+        return value
+
     def __getstate__(self):
         # Drop memoized attributes: the spec holds exec/emit closures,
         # which do not pickle (programs cross process boundaries in the

@@ -13,6 +13,7 @@ import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.fp.ieee754 import double_to_bits, single_to_bits
+from repro.x86 import checkpoint as _cp
 from repro.x86.locations import Loc, MemLoc, parse_loc
 from repro.x86.memory import Memory, Segment
 from repro.x86.state import MachineState
@@ -144,8 +145,6 @@ class TestCase:
     def get_checkpoint(self, prefix: tuple):
         """The checkpoint captured after executing ``prefix`` on this
         test, or None.  Counts a global-store hit/miss either way."""
-        from repro.x86 import checkpoint as _cp
-
         entry = self._checkpoints.get(prefix)
         if entry is None:
             _cp.STORE.stats["misses"] += 1
@@ -156,16 +155,12 @@ class TestCase:
 
     def put_checkpoint(self, prefix: tuple, entry) -> None:
         """Register a captured checkpoint (may LRU-evict older ones)."""
-        from repro.x86 import checkpoint as _cp
-
         self._checkpoints[prefix] = entry
         _cp.STORE.add(self, prefix, entry.nbytes)
 
     def prune_checkpoints(self, slots: tuple) -> None:
         """Drop checkpoints whose prefix the current program no longer
         shares (called when the search accepts a new program)."""
-        from repro.x86 import checkpoint as _cp
-
         stale = [prefix for prefix in self._checkpoints
                  if slots[:len(prefix)] != prefix]
         for prefix in stale:

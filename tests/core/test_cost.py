@@ -212,6 +212,83 @@ class TestLocationDistanceColumns:
         _assert_columns_match(parse_loc(loc), pairs)
 
 
+# The sign boundaries of the ordered keys, beside the edge patterns.
+SIGN_BITS = {64: ((1 << 63) - 1, 1 << 63, (1 << 63) + 1),
+             32: ((1 << 31) - 1, 1 << 31, (1 << 31) + 1)}
+
+
+def _reference_err(cost, values, expected):
+    """Equation 9 through :func:`location_ulp_distance`, with the eta
+    excess written out."""
+    config = cost.config
+    total = 0.0
+    for loc, weight, got, want in zip(cost.runner.live_outs, cost._weights,
+                                      values, expected):
+        excess = location_ulp_distance(loc, got, want) - config.eta
+        if excess <= 0.0:
+            excess = 0.0
+        elif config.compress == "log2":
+            excess = math.log2(1.0 + excess)
+        total += weight * excess
+    return total
+
+
+class TestInlineErrValues:
+    """``_err_values`` inlines :func:`location_ulp_distance` and the eta
+    excess; it must agree with them on every pair of patterns."""
+
+    LOCS = ("xmm0", "xmm1:s1", "rax", "eax")
+
+    def _cost(self, locs, **config):
+        target = assemble("addsd xmm0, xmm0")
+        tests = uniform_testcases(random.Random(0), 2,
+                                  {"xmm0": (-10.0, 10.0)})
+        return CostFunction(target, tests, list(locs), CostConfig(**config))
+
+    @staticmethod
+    def _bits(width):
+        # 32-bit locations also get patterns with stray high bits, which
+        # the f32 distance masks off.
+        return (st.integers(0, (1 << width) - 1)
+                | st.integers(0, (1 << 64) - 1)
+                | st.sampled_from(EDGE_BITS[width] + SIGN_BITS[width]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_distance_matches_location_ulp_distance(self, data):
+        name = data.draw(st.sampled_from(self.LOCS))
+        loc = parse_loc(name)
+        width = 64 if loc.width == 64 else 32
+        a, b = data.draw(self._bits(width)), data.draw(self._bits(width))
+        cost = self._cost([name], compress="none")
+        assert cost._err_values((a,), (b,)) == \
+            location_ulp_distance(loc, a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_equation_9_matches_generic_helpers(self, data):
+        eta = data.draw(st.sampled_from((0.0, 1.0, 3.0, 1e9, 2.0 ** 63)))
+        compress = data.draw(st.sampled_from(("log2", "none")))
+        cost = self._cost(self.LOCS, eta=eta, compress=compress, wr=0.5)
+        widths = [64 if parse_loc(n).width == 64 else 32 for n in self.LOCS]
+        values = tuple(data.draw(self._bits(w)) for w in widths)
+        expected = tuple(data.draw(self._bits(w)) for w in widths)
+        assert cost._err_values(values, expected) == \
+            _reference_err(cost, values, expected)
+
+    @pytest.mark.parametrize("width", (64, 32))
+    def test_edge_and_sign_patterns(self, width):
+        patterns = EDGE_BITS[width] + SIGN_BITS[width]
+        for name in self.LOCS:
+            loc = parse_loc(name)
+            if (64 if loc.width == 64 else 32) != width:
+                continue
+            cost = self._cost([name], compress="none")
+            for a, b in itertools.product(patterns, repeat=2):
+                assert cost._err_values((a,), (b,)) == \
+                    location_ulp_distance(loc, a, b), (name, a, b)
+
+
 class TestMemoryLiveOuts:
     def test_memory_output_compared(self):
         target = assemble("movsd xmm0, (rax)")

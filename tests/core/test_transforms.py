@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.kernels.libimf import LIBIMF_KERNELS
 from repro.x86.assembler import assemble
 from repro.x86.instruction import UNUSED
 from repro.x86.opcodes import OPCODES
@@ -249,3 +250,42 @@ class TestOpcodePool:
         assert "nop" not in pool
         assert "addsd" in pool
         assert "cmovae" in pool
+
+
+class TestOpcodeMoveMemo:
+    """``propose_opcode`` draws from a per-operand-tuple memo of the
+    accepting opcodes; it must list what a fresh scan of the pool does,
+    in pool order, so a seeded chain draws the same opcode."""
+
+    @pytest.mark.parametrize("name", sorted(LIBIMF_KERNELS))
+    def test_memo_equals_fresh_scan(self, name):
+        program = LIBIMF_KERNELS[name]().program
+        transforms = Transforms(program)
+        operand_tuples = {instr.operands for instr in program.code}
+        for operands in operand_tuples:
+            fresh = [op for op in transforms.opcode_pool
+                     if OPCODES[op].accepts(operands)]
+            assert transforms.accepting(operands) == fresh, operands
+            assert transforms.accepting(operands) is \
+                transforms.accepting(operands)
+
+    @pytest.mark.parametrize("name", sorted(LIBIMF_KERNELS))
+    def test_draws_match_fresh_scan(self, name):
+        program = LIBIMF_KERNELS[name]().program
+        transforms = Transforms(program)
+        for seed in range(40):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            got = transforms.propose_opcode(rng, program)
+            index = ref_rng.choice([i for i, ins in enumerate(program.slots)
+                                    if not ins.is_unused])
+            instr = program.slots[index]
+            compatible = [op for op in transforms.opcode_pool
+                          if op != instr.opcode
+                          and OPCODES[op].accepts(instr.operands)]
+            if not compatible:
+                assert got is None
+                continue
+            opcode = ref_rng.choice(compatible)
+            assert got[1] == index
+            assert got[0].slots[index].opcode == opcode
+            assert got[0].slots[index].operands == instr.operands

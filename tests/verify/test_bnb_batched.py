@@ -26,6 +26,7 @@ from repro.kernels.aek import vector as V
 from repro.kernels.libimf import LIBIMF_KERNELS
 from repro.verify import exhaustive_check
 from repro.verify.bnb import BnBCheckpoint, BnBConfig, BnBVerifier
+from repro.verify.interval import _StateSnapshot
 from repro.verify.partition import BitBox, covered_seed_count
 
 from tests.verify.conftest import exhaustive_oracle, without_prefix_sharing
@@ -176,12 +177,25 @@ class TestTargetGap:
 
 
 class TestPrefixSharing:
-    @pytest.mark.parametrize("name", ["sin", "exp"])
+    # sin and exp touch their one input at step 0 or 1, so their splits
+    # never share a prefix; delta first reads its memory inputs at steps
+    # 3 and 7, so its right children resume from the left's snapshot.
+    @pytest.mark.parametrize("name", ["sin", "exp", "delta"])
     def test_sharing_invisible_in_partition(self, name, monkeypatch):
-        verifier = _libimf_verifier(name)
+        verifier = (_delta_verifier() if name == "delta"
+                    else _libimf_verifier(name))
+        restores = []
+        restore = _StateSnapshot.restore
+        monkeypatch.setattr(
+            _StateSnapshot, "restore",
+            lambda snap, *args: restores.append(1) or restore(snap, *args))
         on = verifier.run(BnBConfig(max_boxes=64))
+        shared = len(restores)
         without_prefix_sharing(verifier, monkeypatch)
         off = verifier.run(BnBConfig(max_boxes=64))
+        assert len(restores) == shared
+        if name == "delta":
+            assert shared > 0
         assert _partition(on) == _partition(off)
         triple = lambda r: (r.stats.boxes, r.stats.concrete_bit_ops,
                             r.stats.widened_bit_ops)
