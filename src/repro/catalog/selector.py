@@ -86,7 +86,8 @@ def parse_workload_spec(text: str):
     """Parse a CLI/URL workload argument.
 
     Either a preset name (``aek``, ``s3d``) or a comma list of
-    ``kernel[:calls]`` items (``dot:3,add:1,scale``).
+    ``kernel[:calls]`` items (``dot:3,add:1,scale``), each kernel at
+    most once and with at least one call.
     """
     from repro.kernels import WORKLOADS
 
@@ -100,10 +101,17 @@ def parse_workload_spec(text: str):
             continue
         name, _, calls = item.partition(":")
         try:
-            workload[name] = int(calls) if calls else 1
+            count = int(calls) if calls else 1
         except ValueError:
+            count = 0
+        if count < 1:
             raise CatalogError(
-                f"bad workload item {item!r} (want kernel[:calls])")
+                f"bad workload item {item!r} (want kernel[:calls] with "
+                f"calls >= 1)")
+        if name in workload:
+            raise CatalogError(f"duplicate kernel {name!r} in workload "
+                               f"spec {text!r}")
+        workload[name] = count
     if not workload:
         raise CatalogError(
             f"empty workload spec {text!r} "
@@ -134,7 +142,7 @@ def select_for_budget(body: Dict, workload, budget: float,
     kernels (e.g. a kernel whose output feeds a branch), on top of the
     composite budget.
     """
-    if budget < 0:
+    if not budget >= 0:  # NaN too: it would pass every step check
         raise CatalogError(f"error budget must be >= 0, got {budget:g}")
     kernels = resolve_workload(workload)
     caps = max_error or {}

@@ -34,12 +34,15 @@ Agent surface (the HTTP twin of the scheduler's job source)::
     GET  /v1/jobs/{digest}/checkpoint   last uploaded checkpoint
     PUT  /v1/jobs/{digest}/checkpoint   owner-guarded checkpoint upload
 
-Every request opens its own :class:`~repro.service.store.Ledger`
-connection (SQLite connections are thread-confined; WAL keeps the
-concurrency honest), so the server composes with any number of local
-schedulers and shared-store agents on the same directory.  Submissions
-dedupe on content digest exactly like local submissions — a duplicate
-``POST`` is a cheap 200, never a second execution.
+The server opens one :class:`~repro.service.store.Ledger` when it is
+built and serves every request from it, one request at a time under
+the server's lock; :meth:`ApiServer.stop` closes it.  Reads run as
+plain WAL reads and never take the store's write lock, and writes take
+it only for their own ``BEGIN IMMEDIATE`` transactions, so the server
+composes with any number of local schedulers and shared-store agents
+on the same directory.  Submissions dedupe on content digest exactly
+like local submissions — a duplicate ``POST`` is a cheap 200, never a
+second execution.
 
 The progress feed is an :class:`EventBus`: the serving scheduler's
 ``on_event`` publishes into it, the API handlers publish remote-agent
@@ -54,6 +57,7 @@ import queue
 import re
 import threading
 import time
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from urllib import error as urlerror
@@ -173,7 +177,8 @@ class CatalogCache:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Routes one request; the server class injects ``root`` and ``bus``."""
+    """Routes one request; the server class injects ``ledger``,
+    ``lock`` and ``bus``."""
 
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
@@ -243,8 +248,17 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
-    def _ledger(self) -> Ledger:
-        return Ledger(self.server.root)  # type: ignore[attr-defined]
+    @contextmanager
+    def _ledger(self) -> Iterator[Ledger]:
+        """The server's store connection, held under its lock.
+
+        Send the response after leaving the block: a slow client must
+        not hold up every other request."""
+        with self.server.lock:  # type: ignore[attr-defined]
+            ledger = self.server.ledger  # type: ignore[attr-defined]
+            if ledger is None:
+                raise _HttpFail(503, "the server is shutting down")
+            yield ledger
 
     def _publish(self, digest: str, event: str, info: Dict) -> None:
         self.server.bus.publish(  # type: ignore[attr-defined]
@@ -621,11 +635,11 @@ class _Handler(BaseHTTPRequestHandler):
             row = ledger.job(digest)
             # Owner guard: a reaped agent must not clobber the new
             # owner's resume state.
-            if row["state"] != "running" or row["lease_owner"] != owner:
-                self._send_json({"applied": False}, status=409)
-                return
-            ledger.write_checkpoint(digest, doc)
-        self._send_json({"applied": True})
+            applied = (row["state"] == "running"
+                       and row["lease_owner"] == owner)
+            if applied:
+                ledger.write_checkpoint(digest, doc)
+        self._send_json({"applied": applied}, status=200 if applied else 409)
 
 
 class ApiServer:
@@ -633,6 +647,7 @@ class ApiServer:
 
     ``port=0`` picks a free port (see :attr:`port` after construction).
     Run with :meth:`start` (background thread) or :meth:`serve_forever`.
+    The store is opened here, once, and closed by :meth:`stop`.
     """
 
     def __init__(self, root: str, host: str = "127.0.0.1", port: int = 0,
@@ -640,8 +655,14 @@ class ApiServer:
         self.bus = bus if bus is not None else EventBus()
         self.catalog_cache = CatalogCache()
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
+        try:
+            ledger = Ledger(root)
+        except BaseException:
+            self._httpd.server_close()
+            raise
         self._httpd.daemon_threads = True
-        self._httpd.root = root  # type: ignore[attr-defined]
+        self._httpd.ledger = ledger  # type: ignore[attr-defined]
+        self._httpd.lock = threading.Lock()  # type: ignore[attr-defined]
         self._httpd.bus = self.bus  # type: ignore[attr-defined]
         self._httpd.verbose = verbose  # type: ignore[attr-defined]
         self._httpd.catalog_cache = \
@@ -668,6 +689,13 @@ class ApiServer:
             self._thread.join(timeout=5.0)
             self._thread = None
         self._httpd.server_close()
+        # Under the lock no handler is mid-transaction; handlers that
+        # reach it later answer 503.  close() hands this process's
+        # retry deadlines to the store's ``not_before`` column.
+        with self._httpd.lock:  # type: ignore[attr-defined]
+            if self._httpd.ledger is not None:  # type: ignore[attr-defined]
+                self._httpd.ledger.close()  # type: ignore[attr-defined]
+                self._httpd.ledger = None  # type: ignore[attr-defined]
 
     def __enter__(self) -> "ApiServer":
         return self.start()

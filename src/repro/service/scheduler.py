@@ -118,9 +118,9 @@ class LocalSource:
     def heartbeater(self) -> "_ThreadHeartbeat":
         """A thread-confined heartbeat channel.
 
-        SQLite connections must not cross threads, so the scheduler's
-        heartbeat thread gets its own connection to the same store
-        rather than sharing this source's ledger."""
+        The scheduler's main loop uses this source's ledger without a
+        lock, so the heartbeat thread gets its own connection to the
+        same store rather than sharing it."""
         return _ThreadHeartbeat(self.root)
 
     def succeed(self, digest: str, value: Dict, elapsed: float,

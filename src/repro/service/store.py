@@ -157,10 +157,16 @@ class Ledger:
         # (release or close) the *remaining* monotonic delay is written
         # back into ``not_before``, so the next claimant — another
         # scheduler sharing the ledger, or a restart — honors the same
-        # backoff even if the wall clock stepped in between.
-        self._backoff: Dict[str, float] = {}
+        # backoff even if the wall clock stepped in between.  Each
+        # deadline carries the job's attempt count at the failure: once
+        # another connection claims the job the count moves on, and
+        # the deadline no longer speaks for the row.
+        self._backoff: Dict[str, Tuple[float, int]] = {}
+        # Any thread may use the connection, one at a time: the API
+        # server serializes its request threads on one lock.
         self._conn = sqlite3.connect(self.db_path, timeout=30.0,
-                                     isolation_level=None)
+                                     isolation_level=None,
+                                     check_same_thread=False)
         self._conn.row_factory = sqlite3.Row
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
@@ -335,9 +341,10 @@ class Ledger:
                 "ORDER BY created_at, digest").fetchall()
             ready = []
             for row in rows:
-                deadline = self._backoff.get(row["digest"])
-                if not epoch_only and deadline is not None:
-                    if time.monotonic() < deadline:
+                backoff = self._backoff.get(row["digest"])
+                if (not epoch_only and backoff is not None
+                        and backoff[1] == row["attempts"]):
+                    if time.monotonic() < backoff[0]:
                         continue
                 elif row["not_before"] > now:
                     continue
@@ -481,7 +488,8 @@ class Ledger:
             # uses the monotonic deadline recorded alongside it.
             not_before = now + retry_in if retry else 0
             if retry:
-                self._backoff[digest] = time.monotonic() + retry_in
+                self._backoff[digest] = (time.monotonic() + retry_in,
+                                         row["attempts"])
             else:
                 self._backoff.pop(digest, None)
             conn.execute(
@@ -535,15 +543,16 @@ class Ledger:
         deadline would let the next claimant fire the retry early
         whenever the wall clock had stepped forward past the original
         epoch stamp."""
-        deadline = self._backoff.pop(digest, None)
-        if deadline is None:
+        backoff = self._backoff.pop(digest, None)
+        if backoff is None:
             return
+        deadline, attempts = backoff
         remaining = deadline - time.monotonic()
         if remaining > 0:
             conn.execute(
                 "UPDATE jobs SET not_before=? "
-                "WHERE digest=? AND state='pending'",
-                (now + remaining, digest))
+                "WHERE digest=? AND state='pending' AND attempts=?",
+                (now + remaining, digest, attempts))
 
     def release(self, digest: str, note: str = "interrupted",
                 owner: Optional[str] = None) -> bool:

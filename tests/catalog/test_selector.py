@@ -44,6 +44,24 @@ class TestWorkloads:
         with pytest.raises(CatalogError, match="empty workload"):
             parse_workload_spec(",")
 
+    @pytest.mark.parametrize("spec", ["dot:-3", "dot:0", "add,dot:0"])
+    def test_spec_call_counts_below_one_are_rejected(self, spec):
+        with pytest.raises(CatalogError, match="calls >= 1"):
+            parse_workload_spec(spec)
+
+    def test_spec_repeated_kernel_is_rejected(self):
+        # A mapping would keep only the last count; the list form of
+        # resolve_workload rejects the same repeat.
+        with pytest.raises(CatalogError, match="duplicate kernel 'dot'"):
+            parse_workload_spec("dot:2,dot:3")
+        with pytest.raises(CatalogError, match="duplicate"):
+            parse_workload_spec("dot,add,dot")
+
+    def test_spec_presets_are_unaffected(self):
+        for preset in ("aek", "s3d"):
+            assert parse_workload_spec(preset) == preset
+            assert resolve_workload(parse_workload_spec(preset))
+
 
 class TestSelect:
     def test_zero_budget_is_always_feasible(self, sweep_body):
@@ -87,6 +105,13 @@ class TestSelect:
     def test_negative_budget_is_rejected(self, sweep_body):
         with pytest.raises(CatalogError, match=">= 0"):
             select_for_budget(sweep_body, {"dot": 1}, -1.0)
+
+    def test_nan_budget_is_rejected(self, sweep_body):
+        # Every comparison with NaN is false, so without the check the
+        # greedy walk would take every step and serve the loosest
+        # assignment as if the budget were infinite.
+        with pytest.raises(CatalogError, match=">= 0, got nan"):
+            select_for_budget(sweep_body, {"dot": 1}, float("nan"))
 
     def test_missing_kernel_is_rejected(self, sweep_body):
         with pytest.raises(CatalogError, match="not in catalog"):

@@ -5,13 +5,17 @@ the same RPCs a fleet agent uses."""
 
 import http.client
 import json
+import os
+import sqlite3
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.service.agent import RemoteSource
-from repro.service.api import ApiServer, ServiceClient, ServiceError
+from repro.service.api import ApiServer, ServiceClient, ServiceError, \
+    _Handler
 from repro.service.campaign import CampaignSpec
 from repro.service.jobs import JobSpec
 from repro.service.store import Ledger
@@ -243,17 +247,20 @@ class TestRemoteSource:
         assert source.heartbeat("w1", [digest], 30.0) == set()
 
 
+def _seed_catalog(root):
+    """Plant a finished campaign and store its catalog; returns the
+    campaign id and the catalog digest."""
+    from repro.catalog import build_catalog, store_catalog
+    from tests.catalog.conftest import plant_campaign
+
+    with Ledger(root) as ledger:
+        cid = plant_campaign(ledger)
+        digest = store_catalog(ledger, build_catalog(ledger, cid),
+                               campaign=cid)
+    return cid, digest
+
+
 class TestCatalogApi:
-    def _seed(self, root):
-        from repro.catalog import build_catalog, store_catalog
-        from tests.catalog.conftest import plant_campaign
-
-        with Ledger(root) as ledger:
-            cid = plant_campaign(ledger)
-            digest = store_catalog(ledger, build_catalog(ledger, cid),
-                                   campaign=cid)
-        return cid, digest
-
     def test_no_catalog_is_404_with_guidance(self, service):
         _server, client, _root = service
         with pytest.raises(ServiceError) as err:
@@ -263,7 +270,7 @@ class TestCatalogApi:
 
     def test_summary_query_and_full_document(self, service):
         _server, client, root = service
-        _cid, digest = self._seed(root)
+        _cid, digest = _seed_catalog(root)
         out = client.catalog()
         assert out["digest"] == digest
         assert out["summary"]["kernels"]["dot"]["frontier"] == 2
@@ -280,14 +287,14 @@ class TestCatalogApi:
 
     def test_unknown_kernel_is_404(self, service):
         _server, client, root = service
-        self._seed(root)
+        _seed_catalog(root)
         with pytest.raises(ServiceError) as err:
             client.catalog(kernel="cos")
         assert err.value.status == 404
 
     def test_select_under_budget(self, service):
         _server, client, root = service
-        self._seed(root)
+        _seed_catalog(root)
         out = client.catalog_select(4.0, workload="dot:2")
         assert out["assignment"]["dot"]["id"] == "dot/eta=10"
         assert out["latency"] == 100
@@ -297,14 +304,23 @@ class TestCatalogApi:
 
     def test_select_requires_budget(self, service):
         _server, client, root = service
-        self._seed(root)
+        _seed_catalog(root)
         with pytest.raises(ServiceError) as err:
             client._request("GET", "/v1/catalog/select?workload=dot")
         assert err.value.status == 400
 
+    def test_select_nan_budget_is_409(self, service):
+        _server, client, root = service
+        _seed_catalog(root)
+        with pytest.raises(ServiceError) as err:
+            client._request("GET", "/v1/catalog/select?budget=nan"
+                                   "&workload=dot:2")
+        assert err.value.status == 409
+        assert "error budget must be >= 0" in err.value.message
+
     def test_select_bad_workload_is_409(self, service):
         _server, client, root = service
-        self._seed(root)
+        _seed_catalog(root)
         with pytest.raises(ServiceError) as err:
             client.catalog_select(1.0, workload="cos:2")
         assert err.value.status == 409
@@ -327,7 +343,7 @@ class TestCatalogApi:
 
     def test_cache_hits_on_repeat_reads(self, service):
         server, client, root = service
-        self._seed(root)
+        _seed_catalog(root)
         client.catalog()
         client.catalog()
         client.catalog()
@@ -338,7 +354,7 @@ class TestCatalogApi:
         from tests.catalog.conftest import plant_campaign, select_doc, uf_doc
 
         server, client, root = service
-        self._seed(root)
+        _seed_catalog(root)
         first = client.catalog()["digest"]
         with Ledger(root) as ledger:
             other = plant_campaign(
@@ -367,3 +383,183 @@ class TestCatalogApi:
         assert err.value.status == 409
         assert "abcdefaa" in str(err.value)
         assert "abcdefbb" in str(err.value)
+
+
+class TestSharedStore:
+    """One ApiServer serves every request from the one Ledger it opened,
+    one request at a time under its lock."""
+
+    def test_select_answers_while_a_writer_holds_the_store(self, service):
+        server, _client, root = service
+        _seed_catalog(root)
+        writer = sqlite3.connect(os.path.join(root, "ledger.sqlite3"),
+                                 isolation_level=None)
+        writer.execute("BEGIN IMMEDIATE")
+        try:
+            client = ServiceClient(server.url, timeout=2.0)
+            start = time.perf_counter()
+            out = client.catalog_select(4.0, workload="dot:2")
+            elapsed = time.perf_counter() - start
+        finally:
+            writer.execute("ROLLBACK")
+            writer.close()
+        assert out["assignment"]["dot"]["id"] == "dot/eta=10"
+        assert elapsed < 1.0, f"select took {elapsed:.3f}s"
+
+    def test_requests_open_the_store_once(self, tmp_path, monkeypatch):
+        opened = []
+        init = Ledger.__init__
+
+        def counting_init(self, root):
+            opened.append(root)
+            init(self, root)
+
+        monkeypatch.setattr(Ledger, "__init__", counting_init)
+        with ApiServer(str(tmp_path / "store")) as server:
+            client = ServiceClient(server.url)
+            digest = client.submit_job("search", {"n": 1})["digest"]
+            client.status()
+            assert client.job(digest[:12])["state"] == "pending"
+            assert client.claim("w1", 1, 30.0)[0]["digest"] == digest
+            assert client.heartbeat("w1", [digest], 30.0) == [digest]
+            assert client.put_checkpoint(digest, "w1", {"i": 1}) is True
+            assert client.get_checkpoint(digest) == {"i": 1}
+            client.telemetry(digest, "event", {"x": 1})
+            assert client.finish(digest, "w1", _value(), 1.0) is True
+            assert json.loads(client.artifact(digest, "result.json")) \
+                == {"answer": 42}
+            with pytest.raises(ServiceError):
+                client.catalog()
+        assert len(opened) == 1
+
+    def test_concurrent_selects_and_agent_rpcs(self, service):
+        _server, client, root = service
+        _seed_catalog(root)
+        want = client.catalog_select(4.0, workload="dot:2")
+        errors = []
+        finished = []
+
+        def selects():
+            for _ in range(30):
+                got = client.catalog_select(4.0, workload="dot:2")
+                if got != want:
+                    errors.append(f"select answered {got}")
+
+        def agent(owner):
+            # Each claim follows its own submit, so one job is always
+            # pending; it may be the other agent's.
+            for n in range(10):
+                client.submit_job("search", {"owner": owner, "n": n})
+                jobs = client.claim(owner, 1, 30.0)
+                if len(jobs) != 1:
+                    errors.append(f"{owner} claimed {jobs}")
+                    continue
+                digest = jobs[0]["digest"]
+                if client.heartbeat(owner, [digest], 30.0) != [digest]:
+                    errors.append(f"{owner} lost {digest[:12]}")
+                if not client.finish(digest, owner, _value(), 0.1):
+                    errors.append(f"{owner} could not finish {digest[:12]}")
+                finished.append(digest)
+
+        threads = [threading.Thread(target=selects),
+                   threading.Thread(target=selects),
+                   threading.Thread(target=agent, args=("w1",)),
+                   threading.Thread(target=agent, args=("w2",))]
+        # Switch threads often, so handlers interleave at fine grain.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(set(finished)) == 20
+        with Ledger(root) as ledger:
+            # 20 agent jobs and the seeded campaign's four.
+            assert ledger.counts() == {"pending": 0, "running": 0,
+                                       "done": 24, "failed": 0}
+            for digest in finished:
+                attempts = ledger.attempts_of(digest)
+                assert [a["outcome"] for a in attempts] == ["ok"]
+                assert "result.json" in ledger.artifacts_of(digest)
+
+    def test_remote_backoff_survives_a_restart(self, tmp_path):
+        root = str(tmp_path / "store")
+        with ApiServer(root) as server:
+            client = ServiceClient(server.url)
+            digest = client.submit_job("search", {"n": 1})["digest"]
+            client.claim("w1", 1, 30.0)
+            info = client.fail(digest, "w1", "boom", retry_base=30.0)
+            assert info["state"] == "pending"
+            assert client.claim("w1", 1, 30.0) == []
+        # stop() flushed the server's monotonic deadline into the
+        # store; a new server on the same store honours it.
+        with ApiServer(root) as server:
+            client = ServiceClient(server.url)
+            assert client.claim("w2", 1, 30.0) == []
+            assert client.job(digest)["not_before"] > time.time() + 20
+
+    def test_stop_waits_for_an_in_flight_request(self, tmp_path,
+                                                  monkeypatch, capfd):
+        server = ApiServer(str(tmp_path / "store")).start()
+        client = ServiceClient(server.url, timeout=10.0)
+        digest = client.submit_job("search", {"n": 1})["digest"]
+        client.claim("w1", 1, 30.0)
+        inside, proceed = threading.Event(), threading.Event()
+        heartbeat = Ledger.heartbeat
+
+        def slow_heartbeat(self, *args, **kwargs):
+            inside.set()
+            proceed.wait(5.0)
+            return heartbeat(self, *args, **kwargs)
+
+        monkeypatch.setattr(Ledger, "heartbeat", slow_heartbeat)
+        replies = {}
+        beater = threading.Thread(target=lambda: replies.update(
+            kept=client.heartbeat("w1", [digest], 30.0)))
+        beater.start()
+        assert inside.wait(5.0)
+        stopper = threading.Thread(target=server.stop)
+        stopper.start()
+        time.sleep(0.2)  # stop() now waits for the handler's lock
+        proceed.set()
+        stopper.join(timeout=10.0)
+        beater.join(timeout=10.0)
+        assert not stopper.is_alive() and not beater.is_alive()
+        assert replies["kept"] == [digest]
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_request_reaching_a_stopped_store_is_503(self, tmp_path,
+                                                     monkeypatch, capfd):
+        server = ApiServer(str(tmp_path / "store")).start()
+        client = ServiceClient(server.url, timeout=10.0)
+        reading, proceed = threading.Event(), threading.Event()
+        body = _Handler._body
+
+        def gated_body(self):
+            reading.set()
+            proceed.wait(5.0)
+            return body(self)
+
+        monkeypatch.setattr(_Handler, "_body", gated_body)
+        statuses = []
+
+        def submit():
+            try:
+                client.submit_job("search", {"n": 1})
+            except ServiceError as exc:
+                statuses.append(exc.status)
+
+        submitter = threading.Thread(target=submit)
+        submitter.start()
+        assert reading.wait(5.0)
+        server.stop()
+        proceed.set()
+        submitter.join(timeout=10.0)
+        assert not submitter.is_alive()
+        assert statuses == [503]
+        assert "Traceback" not in capfd.readouterr().err

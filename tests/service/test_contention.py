@@ -44,13 +44,17 @@ def _serve(store):
 
 
 def _wait_for_checkpoints(store, distinct, timeout=90.0):
+    """Block until ``distinct`` checkpoint files exist at once.  A
+    finished job deletes its file, so each is a job in flight; counting
+    files seen at different times would let a finished job's stand in
+    for one that has not checkpointed yet."""
     checkpoints = os.path.join(store, "checkpoints")
     seen = set()
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         if os.path.isdir(checkpoints):
-            seen.update(name for name in os.listdir(checkpoints)
-                        if name.endswith(".json"))
+            seen = {name for name in os.listdir(checkpoints)
+                    if name.endswith(".json")}
         if len(seen) >= distinct:
             return
         time.sleep(0.05)

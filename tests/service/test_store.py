@@ -313,3 +313,35 @@ class TestMonotonicBackoff:
         # Simulated time bypasses the monotonic gate entirely (the
         # scheduler tests drive claim_ready with synthetic clocks).
         assert ledger.claim_ready(1, now=row["not_before"] + 1) != []
+
+    def test_newer_failure_elsewhere_outranks_a_stale_deadline(self, ledger):
+        # A long-lived ledger (an API server's) records a short backoff;
+        # another connection claims the retry and fails it with a long
+        # one.  The first ledger's passed deadline no longer speaks for
+        # the row, so the epoch stamp gates its claim.
+        spec = _job(1)
+        ledger.add_job(spec, max_attempts=5)
+        ledger.claim_ready(1, owner="w1", lease=60.0)
+        ledger.fail(spec.digest, "boom", retry_in=0.0, owner="w1")
+        with Ledger(ledger.root) as other:
+            assert other.claim_ready(1, owner="w2", lease=60.0) != []
+            other.fail(spec.digest, "boom", retry_in=3600.0, owner="w2")
+        assert ledger.claim_ready(1, owner="w1", lease=60.0) == []
+
+    def test_close_does_not_flush_a_stale_deadline(self, ledger):
+        # Another connection claims the job (on its own clock) and
+        # fails it again; the first ledger's deadline, an hour out,
+        # must not overwrite the newer stamp when it closes.
+        spec = _job(1)
+        ledger.add_job(spec, max_attempts=5)
+        ledger.claim_ready(1, owner="w1", lease=60.0)
+        ledger.fail(spec.digest, "boom", retry_in=3600.0, owner="w1")
+        with Ledger(ledger.root) as other:
+            now = other.job(spec.digest)["not_before"] + 1
+            assert other.claim_ready(1, now=now, owner="w2",
+                                     lease=60.0) != []
+            other.fail(spec.digest, "boom", retry_in=0.5, owner="w2")
+        stamp = ledger.job(spec.digest)["not_before"]
+        ledger.close()
+        with Ledger(ledger.root) as again:
+            assert again.job(spec.digest)["not_before"] == stamp
