@@ -112,6 +112,39 @@ def location_ulp_distance(loc: Location, bits_a: int, bits_b: int) -> float:
     return float(bin(bits_a ^ bits_b).count("1"))
 
 
+def ulp_widths(locs: Sequence[Location]) -> tuple:
+    """Per location, the :func:`ulp_distance` width: the ``(mask, sign
+    bit)`` of its f64/f32 format, or None for an integer location."""
+    return tuple(
+        (DOUBLE.mask, DOUBLE.sign_mask) if loc.ftype == "f64" else
+        (SINGLE.mask, SINGLE.sign_mask) if loc.ftype == "f32" else None
+        for loc in locs)
+
+
+def ulp_distance(width: Optional[Tuple[int, int]], got: int,
+                 want: int) -> float:
+    """:func:`location_ulp_distance` for a location of ``width`` (an
+    :func:`ulp_widths` entry), without the format lookups.
+
+    The hot loops (``CostFunction._err_values``, the validator's
+    ``err_block``) call it once per live-out.  After masking, a pattern
+    with the sign bit set maps to ``sign - bits`` (minus its magnitude:
+    the ordered key of ``ordered_from_bits``, so -0 and +0 share key 0),
+    and the keys' distance is rounded once by ``float()``.  An integer
+    location counts the set bits of the XOR.
+    """
+    if width is None:
+        return float(bin(got ^ want).count("1"))
+    mask, sign = width
+    got &= mask
+    want &= mask
+    if got & sign:
+        got = sign - got
+    if want & sign:
+        want = sign - want
+    return float(got - want if got > want else want - got)
+
+
 # Set bits of every byte value: the column Hamming distance looks up each
 # byte of a lane (numpy's own popcount needs numpy 2).
 _POPCOUNT8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
@@ -193,12 +226,7 @@ class CostFunction:
         self._weights = tuple(
             config.wm if isinstance(loc, MemLoc) else config.wr
             for loc in locs)
-        # Per-location (mask, sign bit) of the f64/f32 ordered-key
-        # distance, or None for the Hamming distance (_err_values).
-        self._ulp_widths = tuple(
-            (DOUBLE.mask, DOUBLE.sign_mask) if loc.ftype == "f64" else
-            (SINGLE.mask, SINGLE.sign_mask) if loc.ftype == "f32" else None
-            for loc in locs)
+        self._ulp_widths = ulp_widths(locs)
         self._log2_excess = config.compress == "log2"
         # Full (non-early-terminated) evaluations are memoized in a
         # bounded LRU: MCMC proposals frequently revisit recently seen
@@ -241,30 +269,15 @@ class CostFunction:
         """Equation 9 over aligned live-out bits tuples (hot path).
 
         Each location adds its weight times its excess ``max(0, ulps -
-        eta)``, log2-compressed under ``compress="log2"``.  ``ulps`` is
-        :func:`location_ulp_distance` inlined: a pattern with the sign
-        bit set maps to minus its magnitude (the ordered key of
-        ``ordered_from_bits``, so -0 and +0 share key 0), the keys'
-        distance is rounded once by ``float()``, and an integer
-        location counts the set bits of the XOR.
+        eta)``, log2-compressed under ``compress="log2"``, where ``ulps``
+        is its :func:`ulp_distance`.
         """
         eta = self.config.eta
         log2_excess = self._log2_excess
         total = 0.0
         for width, weight, got, want in zip(self._ulp_widths, self._weights,
                                             values, expected):
-            if width is None:
-                ulps = float(bin(got ^ want).count("1"))
-            else:
-                mask, sign = width
-                got &= mask
-                want &= mask
-                if got & sign:
-                    got = sign - got
-                if want & sign:
-                    want = sign - want
-                ulps = float(got - want if got > want else want - got)
-            excess = ulps - eta
+            excess = ulp_distance(width, got, want) - eta
             if excess <= 0.0:
                 excess = 0.0
             elif log2_excess:

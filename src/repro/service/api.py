@@ -669,22 +669,33 @@ class ApiServer:
             self.catalog_cache  # type: ignore[attr-defined]
         self.host, self.port = self._httpd.server_address[:2]
         self._thread: Optional[threading.Thread] = None
+        # Whether a serve loop was started and not yet shut down:
+        # shutdown() waits for a loop to exit, so it would wait forever
+        # on a server that never served.
+        self._serving = False
 
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
     def start(self) -> "ApiServer":
+        self._serving = True
         self._thread = threading.Thread(target=self._httpd.serve_forever,
                                         name="api-server", daemon=True)
         self._thread.start()
         return self
 
     def serve_forever(self) -> None:
+        self._serving = True
         self._httpd.serve_forever()
 
     def stop(self) -> None:
-        self._httpd.shutdown()
+        """Shut down a running serve loop, then close the socket and the
+        store.  Works on a server that never started; a second call does
+        nothing."""
+        if self._serving:
+            self._httpd.shutdown()
+            self._serving = False
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None

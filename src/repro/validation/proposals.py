@@ -1,6 +1,6 @@
 """Test-case proposal distribution for validation (Equation 16).
 
-Successor test cases perturb each floating-point live-in by a draw from a
+Successor test cases perturb each ranged live-in by a draw from a
 normal distribution; components that would leave the user-specified
 ``[l_min, l_max]`` range keep their old value.  Keeping pointer-valued
 live-ins fixed guarantees proposals never leave the memory sandbox.
@@ -13,8 +13,9 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
+from repro.fp.ieee754 import bits_to_double, bits_to_single
 from repro.x86.locations import Loc, MemLoc, parse_loc
-from repro.x86.testcase import TestCase, decode_from, encode_for
+from repro.x86.testcase import TestCase, encode_for
 
 LocLike = Union[str, Loc, MemLoc]
 
@@ -34,8 +35,32 @@ class InputRange:
         return self.lo <= value <= self.hi
 
 
+def _walk_value(loc, bits: int, lo: float, hi: float):
+    """The number a live-in's bits stand for on the walk over ``[lo, hi]``.
+
+    An FP location reads as its float.  An integer pattern stands for
+    two numbers, its unsigned value and its signed two's complement
+    value (``encode_for`` writes a negative integer as the latter, while
+    ``decode_from`` reads the unsigned pattern back); the walk reads the
+    one nearer the range.  Every value the walk encodes lies in the
+    range, so on a range that fits the location's width it reads back
+    as drawn (truncated to an integer): below zero as above 2^31.
+    """
+    if loc.ftype == "f64":
+        return bits_to_double(bits)
+    if loc.ftype == "f32":
+        return bits_to_single(bits)
+    mask = (1 << loc.width) - 1
+    bits &= mask
+    if bits > hi:
+        signed = bits - mask - 1
+        if lo - signed < bits - hi:
+            return signed
+    return bits
+
+
 class TestCaseProposer:
-    """Gaussian random-walk proposals over the floating-point live-ins."""
+    """Gaussian random-walk proposals over the ranged live-ins."""
 
     # Not a test class, despite the Test* name pytest keys on.
     __test__ = False
@@ -51,44 +76,54 @@ class TestCaseProposer:
             self.ranges[loc] = InputRange(lo, hi)
         self.sigma_fraction = sigma_fraction
         self.mu = mu
-        self._sigmas = {loc: spec.width * sigma_fraction
-                        for loc, spec in self.ranges.items()}
-        # One-entry decode cache: during a rejection streak every draw
-        # comes from the same ``current``, and decoding its live-ins once
-        # per draw was a measurable share of the chain's runtime.
-        self._decoded: Tuple[Optional[TestCase], Dict] = (None, {})
+        # One (loc, lo, hi, sigma) per ranged live-in, in range order:
+        # a draw reads no dict keyed by location (a Loc hashes in Python).
+        self._walk = tuple((loc, spec.lo, spec.hi, spec.width * sigma_fraction)
+                           for loc, spec in self.ranges.items())
+        # One-entry cache of the walk values of ``current``, aligned with
+        # ``_walk``: during a rejection streak every draw comes from the
+        # same ``current``.
+        self._decoded: Tuple[Optional[TestCase], list] = (None, [])
 
-    def _values_of(self, current: TestCase) -> Dict:
+    def _values_of(self, current: TestCase) -> list:
         cached, values = self._decoded
         if cached is not current:
-            values = {loc: decode_from(loc, current.inputs[loc])
-                      for loc in self.ranges}
+            inputs = current.inputs
+            values = [_walk_value(loc, inputs[loc], lo, hi)
+                      for loc, lo, hi, _ in self._walk]
             self._decoded = (current, values)
         return values
 
     def initial(self, rng: random.Random, base: TestCase) -> TestCase:
         """A starting point: uniform draw for each ranged live-in."""
-        tc = base
-        for loc, rng_spec in self.ranges.items():
-            value = rng.uniform(rng_spec.lo, rng_spec.hi)
-            tc = tc.replace(loc, encode_for(loc, value))
-        return tc
+        return self.propose_uniform(rng, base)
 
     def propose(self, rng: random.Random, current: TestCase) -> TestCase:
-        """Equation 16: perturb every ranged live-in, clamping by reuse."""
-        tc = current
-        values = self._values_of(current)
-        for loc, rng_spec in self.ranges.items():
-            candidate = values[loc] + rng.gauss(self.mu, self._sigmas[loc])
-            if rng_spec.contains(candidate):
-                tc = tc.replace(loc, encode_for(loc, candidate))
-        return tc
+        """Equation 16: perturb every ranged live-in, clamping by reuse.
+
+        Every live-in draws its Gaussian step, in range order, whether
+        or not it moves.  A draw that moves no component returns
+        ``current`` itself; otherwise one inputs dict is built.
+        """
+        gauss = rng.gauss
+        mu = self.mu
+        inputs = None
+        for (loc, lo, hi, sigma), value in zip(self._walk,
+                                               self._values_of(current)):
+            candidate = value + gauss(mu, sigma)
+            if lo <= candidate <= hi:
+                if inputs is None:
+                    inputs = dict(current.inputs)
+                inputs[loc] = encode_for(loc, candidate)
+        if inputs is None:
+            return current
+        return TestCase._from_resolved(inputs, current.segments)
 
     def propose_uniform(self, rng: random.Random,
                         current: TestCase) -> TestCase:
         """Independent uniform redraw (used by the random-search variant)."""
-        tc = current
-        for loc, rng_spec in self.ranges.items():
-            value = rng.uniform(rng_spec.lo, rng_spec.hi)
-            tc = tc.replace(loc, encode_for(loc, value))
-        return tc
+        uniform = rng.uniform
+        inputs = dict(current.inputs)
+        for loc, lo, hi, _ in self._walk:
+            inputs[loc] = encode_for(loc, uniform(lo, hi))
+        return TestCase._from_resolved(inputs, current.segments)

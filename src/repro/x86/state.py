@@ -54,39 +54,15 @@ class MachineState:
         self.flags.update(flags)
         self.mem.restore_writable(mem_snapshot)
 
-    def restore_slots(self, snapshot: tuple, gp_indices, xl_indices,
-                      xh_indices, mem: bool) -> None:
-        """Reset only the named slots to their `snapshot` values.
-
-        The fast path of the state pool: when the exact write set of the
-        executions since the last reset is known (the JIT records it per
-        compiled program), everything else is untouched by construction
-        and does not need to be rewritten.  Flags are never restored here
-        — the JIT keeps them in locals and never writes ``state.flags``.
-        """
-        gp, xmm_lo, xmm_hi, _flags, mem_snapshot = snapshot
-        own_gp = self.gp
-        for index in gp_indices:
-            own_gp[index] = gp[index]
-        own_lo = self.xmm_lo
-        for index in xl_indices:
-            own_lo[index] = xmm_lo[index]
-        own_hi = self.xmm_hi
-        for index in xh_indices:
-            own_hi[index] = xmm_hi[index]
-        if mem:
-            self.mem.restore_writable(mem_snapshot)
-
     def snapshot_slots(self, gp_indices, xl_indices, xh_indices,
                        mem: bool) -> tuple:
         """Capture only the named slots (checkpoint capture fast path).
 
-        The counterpart of :meth:`restore_slots`: where that resets a
-        known write set back to a full snapshot, this records just a
-        write set's current values so they can be re-applied later with
-        :meth:`apply_slots`.  Flags are deliberately excluded — the JIT
-        keeps them in locals, and resume boundaries are chosen so no
-        suffix ever needs flags from its prefix.
+        Records just a write set's current values so they can be
+        re-applied later with :meth:`apply_slots`.  Flags are
+        deliberately excluded — the JIT keeps them in locals, and resume
+        boundaries are chosen so no suffix ever needs flags from its
+        prefix.
         """
         gp = self.gp
         lo = self.xmm_lo

@@ -118,8 +118,8 @@ class TestCase:
         elif dirt is not None:
             # Precise write set promised by the previous holder: reset
             # only the slots that can actually differ from the snapshot,
-            # plus the flags.  (state.restore_slots inlined — this runs
-            # once per test per proposal evaluation.)
+            # plus the flags.  (Inlined: this runs once per test per
+            # proposal evaluation.)
             gp_idx, xl_idx, xh_idx, mem = dirt
             snap_gp, snap_lo, snap_hi, snap_flags, mem_snapshot = \
                 self._snapshot

@@ -16,7 +16,8 @@ from repro.x86.locations import MemLoc, parse_loc
 from repro.x86.testcase import TestCase, uniform_testcases
 
 from repro.core.cost import (CostConfig, CostFunction, location_ulp_distance,
-                             location_ulp_distance_columns)
+                             location_ulp_distance_columns, ulp_distance,
+                             ulp_widths)
 
 
 def make_cost(target_asm, eta=0.0, k=1.0, **kwargs):
@@ -152,6 +153,32 @@ EDGE_BITS = {
          0x007FFFFF, 0x807FFFFF, 0x7FC00001, 0xFFC00001, 0x7F800001,
          0xFF800001, 0x7F7FFFFF, 0xFF7FFFFF, 0x7FFFFFFF, 0xFFFFFFFF),
 }
+
+
+class TestUlpDistance:
+    """The hot loops' distance over an ``ulp_widths`` entry equals
+    ``location_ulp_distance``, which goes through the format's
+    ordered keys."""
+
+    @pytest.mark.parametrize("loc", [
+        loc for locs in COLUMN_LOCS.values() for loc in locs]
+        + [MemLoc("seg", 0, "f32"), MemLoc("seg", 0, "f64")],
+        ids=str)
+    def test_edge_patterns(self, loc):
+        width, = ulp_widths([loc])
+        edges = EDGE_BITS[loc.width]
+        for x, y in itertools.product(edges, edges):
+            assert ulp_distance(width, x, y) == \
+                location_ulp_distance(loc, x, y), (hex(x), hex(y))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_location_distance(self, data):
+        loc = data.draw(st.sampled_from(COLUMN_LOCS[64] + COLUMN_LOCS[32]))
+        bits = st.integers(0, (1 << loc.width) - 1)
+        x, y = data.draw(bits), data.draw(bits)
+        width, = ulp_widths([loc])
+        assert ulp_distance(width, x, y) == location_ulp_distance(loc, x, y)
 
 
 def _assert_columns_match(loc, pairs):

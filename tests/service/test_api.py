@@ -533,6 +533,26 @@ class TestSharedStore:
         assert replies["kept"] == [digest]
         assert "Traceback" not in capfd.readouterr().err
 
+    def test_stop_of_a_server_that_never_started(self, tmp_path):
+        # No serve loop ever ran, so there is none to wait for: stop()
+        # returns at once and still closes the socket and the store.
+        server = ApiServer(str(tmp_path / "store"))
+        ledger = server._httpd.ledger
+
+        def stop_within(seconds):
+            stopper = threading.Thread(target=server.stop, daemon=True)
+            stopper.start()
+            stopper.join(timeout=seconds)
+            return not stopper.is_alive()
+
+        assert stop_within(1.0), "stop() blocked on a server never started"
+        assert server._httpd.ledger is None
+        assert server._httpd.socket.fileno() == -1
+        with pytest.raises(sqlite3.ProgrammingError):
+            ledger._conn.execute("SELECT 1")
+        assert stop_within(1.0), "a second stop() blocked"
+        assert server._httpd.ledger is None
+
     def test_request_reaching_a_stopped_store_is_503(self, tmp_path,
                                                      monkeypatch, capfd):
         server = ApiServer(str(tmp_path / "store")).start()

@@ -9,13 +9,17 @@ proposals are drawn independently of the chain state
 not change any result; chain strategies run one proposal per block.
 """
 
+import hashlib
+import itertools
 import random
 import struct
 
 import pytest
 
 from repro.fp.ieee754 import double_to_bits
+from repro.kernels.aek.vector import scale_kernel, scale_rewrite
 from repro.x86.assembler import assemble
+from repro.x86.program import Program
 from repro.x86.testcase import TestCase
 
 from repro.core.cost import location_ulp_distance
@@ -42,11 +46,11 @@ def make_validator(backend="jit", target="addsd xmm0, xmm0",
                      RANGES, base, backend=backend)
 
 
-def drawn_proposals(count, seed=0):
+def drawn_proposals(count, seed=0, ranges=RANGES, base=None):
     """A realistic chain of proposals from the validation proposer."""
-    proposer = TestCaseProposer(RANGES)
+    proposer = TestCaseProposer(ranges)
     rng = random.Random(seed)
-    current = proposer.initial(rng, base_tc())
+    current = proposer.initial(rng, base if base is not None else base_tc())
     out = []
     for _ in range(count):
         current = proposer.propose(rng, current)
@@ -54,13 +58,18 @@ def drawn_proposals(count, seed=0):
     return out
 
 
-def reference_errs(backend, target, rewrite, tests):
+def as_program(program):
+    return program if isinstance(program, Program) else assemble(program)
+
+
+def reference_errs(backend, target, rewrite, tests, live_outs=("xmm0",)):
     """Equation 13 per test on each test case's own pooled state, through
-    a Runner of its own: the ground truth the validator's pool must
+    a Runner of its own and :func:`location_ulp_distance`: the ground
+    truth the validator's pool and its fused live-out read must
     reproduce."""
-    runner = Runner(["xmm0"], backend=backend)
-    prepared_target = runner.prepare(assemble(target))
-    prepared_rewrite = runner.prepare(assemble(rewrite))
+    runner = Runner(live_outs, backend=backend)
+    prepared_target = runner.prepare(as_program(target))
+    prepared_rewrite = runner.prepare(as_program(rewrite))
     errs = []
     for test in tests:
         t_out, t_sig = runner.run_values(prepared_target, test)
@@ -210,3 +219,199 @@ class TestBlockChainEquivalence:
             self.CONFIG, make_validation_strategy("rand"))
         assert rand.evaluations % UNIFORM_BLOCK == 0
         assert rand.evaluations >= rand.samples
+
+
+def assert_matches_reference(backend, target, rewrite, live_outs, ranges,
+                             base, proposals):
+    """A block, then the same tests as blocks of one, against
+    :func:`reference_errs`."""
+    validator = Validator(as_program(target), as_program(rewrite),
+                          list(live_outs), ranges, lambda: base,
+                          backend=backend)
+    expected = reference_errs(backend, target, rewrite, proposals,
+                              live_outs=live_outs)
+    assert validator.err_block(proposals) == expected
+    assert [validator.err(t) for t in proposals] == expected
+    return expected
+
+
+# Live-out patterns: NaN payloads (quiet, signalling, negative), both
+# zeros, both infinities, denormals at both ends and a normal number.
+F64_PATTERNS = (
+    0x0000000000000000, 0x8000000000000000,  # +0, -0
+    0x7FF0000000000000, 0xFFF0000000000000,  # +inf, -inf
+    0x7FF8000000000000, 0x7FF8000000000123,  # quiet NaN, with payload
+    0x7FF0000000000001, 0xFFF8000000000001,  # signalling, negative NaN
+    0x0000000000000001, 0x000FFFFFFFFFFFFF,  # min and max denormal
+    0x8000000000000001, 0x3FF0000000000000,  # -min denormal, 1.0
+)
+# Two f32 patterns per quadword, high lane first: NaN payload / -0,
+# -inf / +inf, -max denormal / min denormal, +0 / signalling NaN.
+F32_PAIRS = (0x7FC0000180000000, 0xFF8000007F800000,
+             0x807FFFFF00000001, 0x000000007F800001)
+
+
+class TestFusedEquation13:
+    """``err_block`` reads both live-out tuples and sums Equation 13 in
+    one loop over :func:`~repro.core.cost.ulp_widths`; it must equal the
+    per-location :func:`location_ulp_distance` reference for every
+    location kind and every special pattern."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_f32_lane_live_outs(self, backend):
+        ranges = {"xmm0:s0": (-4.0, 4.0), "xmm0:s1": (-4.0, 4.0)}
+        base = TestCase.from_values({"xmm0:s0": 1.0, "xmm0:s1": -1.0})
+        proposals = drawn_proposals(40, ranges=ranges, base=base)
+        errs = assert_matches_reference(
+            backend, "mulps xmm0, xmm0", "addps xmm0, xmm0",
+            ("xmm0:s0", "xmm0:s1"), ranges, base, proposals)
+        assert len(set(errs)) > 10
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_aek_kernel_with_three_f32_live_outs(self, backend):
+        # The scale kernel's target spills xmm0 to the stack (a memory
+        # write set); its rewrite is register-only.
+        spec = scale_kernel()
+        base = spec.base_testcase()
+        proposals = drawn_proposals(30, seed=3, ranges=dict(spec.ranges),
+                                    base=base)
+        assert len(spec.live_outs) == 3
+        assert_matches_reference(backend, spec.program, scale_rewrite(),
+                                 spec.live_outs, dict(spec.ranges), base,
+                                 proposals)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("live_out, target, rewrite", [
+        ("rax", "cvttsd2si xmm0, rax", "cvtsd2si xmm0, rax"),
+        ("rax", "cvttsd2si xmm0, rax", "cvtsd2si xmm0, rax\nneg rax"),
+        ("eax", "cvttsd2si xmm0, eax", "cvtsd2si xmm0, rax\nneg rax"),
+    ])
+    def test_integer_live_outs(self, backend, live_out, target, rewrite):
+        proposals = drawn_proposals(40, seed=4)
+        errs = assert_matches_reference(backend, target, rewrite,
+                                        (live_out,), RANGES, base_tc(),
+                                        proposals)
+        assert max(errs) > 1.0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_both_programs_store_to_memory(self, backend):
+        # Each program reads 8(rbx) and stores its result there: unless
+        # both states of a pair restore memory between tests, a test
+        # reads the previous test's result.
+        base = base_testcase(0)
+        base.segments[0].data[8:16] = struct.pack("<d", 2.5)
+        target = "addsd 8(rbx), xmm0\nmovsd xmm0, 8(rbx)"
+        rewrite = "mulsd 8(rbx), xmm0\nmovsd xmm0, 8(rbx)"
+        proposals = drawn_proposals(30, seed=5, base=base)
+        assert_matches_reference(backend, target, rewrite,
+                                 ("xmm0", "[scratch+8]:f64"), RANGES, base,
+                                 proposals)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_special_patterns(self, backend):
+        # Constant programs put each pattern in xmm0, read as a double
+        # and as two singles.
+        live_outs = ("xmm0", "xmm0:s0", "xmm0:s1")
+        proposals = drawn_proposals(2, seed=6)
+        patterns = F64_PATTERNS + F32_PAIRS
+        for want, got in itertools.product(patterns, repeat=2):
+            assert_matches_reference(
+                backend, f"movq ${want:#x}, xmm0", f"movq ${got:#x}, xmm0",
+                live_outs, RANGES, base_tc(), proposals)
+
+
+# The walk the pins below record: two ranged live-ins (f64 and f32, one
+# of them started near its top edge), an unranged pointer, a wide step
+# so that components clamp, and two accepts in every three draws.
+PIN_RANGES = {"xmm0": (-1.0, 1.0), "xmm1:s0": (0.0, 4.0)}
+PROPOSAL_PINS = {
+    "propose":
+        "819227a7771697821da795f75be6d367b64ce1fbb8e971c0a3bd3d2b8c523d79",
+    "propose_uniform":
+        "84efb450f09166a7c59fdcc157f3246494914eb36eefc6c1e3cd2814597f12b6",
+}
+
+
+def pinned_walk(draw):
+    proposer = TestCaseProposer(PIN_RANGES, sigma_fraction=0.4)
+    rng = random.Random(2024)
+    base = TestCase.from_values({"rbx": 0x4000, "xmm1:s0": 3.5,
+                                 "xmm0": 0.5})
+    current = proposer.initial(rng, base)
+    record = [[(str(loc), bits) for loc, bits in current.inputs.items()]]
+    stays = partial = 0
+    for index in range(64):
+        proposal = getattr(proposer, draw)(rng, current)
+        stay = proposal is current
+        stays += stay
+        moved = sum(a != b for a, b in zip(proposal.inputs.values(),
+                                           current.inputs.values()))
+        partial += not stay and moved < len(PIN_RANGES)
+        record.append((stay, [(str(loc), bits)
+                              for loc, bits in proposal.inputs.items()]))
+        if index % 3:
+            current = proposal
+    return hashlib.sha256(repr(record).encode()).hexdigest(), stays, partial
+
+
+class TestProposalPins:
+    """The first 64 draws of each proposal kind at a fixed seed, as the
+    ``replace``-chain proposer drew them."""
+
+    def test_propose(self):
+        digest, stays, partial = pinned_walk("propose")
+        assert digest == PROPOSAL_PINS["propose"]
+        # Among the pinned draws: some return ``current`` itself (every
+        # component clamped) and some clamp one component only.
+        assert stays > 0
+        assert partial > 0
+
+    def test_propose_uniform(self):
+        digest, stays, partial = pinned_walk("propose_uniform")
+        assert digest == PROPOSAL_PINS["propose_uniform"]
+        assert stays == partial == 0
+
+
+class TestIntegerWalks:
+    """Integer live-ins walk on the reading of their pattern nearer the
+    range: signed on a range around zero, unsigned on one above 2^31, so
+    either walk crosses its middle both ways."""
+
+    @staticmethod
+    def walk(name, lo, hi, start, read, sigma_fraction):
+        proposer = TestCaseProposer({name: (lo, hi)}, sigma_fraction)
+        rng = random.Random(11)
+        current = TestCase.from_values({name: start})
+        loc = next(iter(current.inputs))
+        values = []
+        for _ in range(200):
+            current = proposer.propose(rng, current)
+            values.append(read(current.inputs[loc], loc.width))
+        assert all(lo <= v <= hi for v in values)
+        assert len(set(values)) > 10
+        return values
+
+    @staticmethod
+    def crossings(values, pivot):
+        sides = [v > pivot for v in values if v != pivot]
+        ups = sum(1 for a, b in zip(sides, sides[1:]) if not a and b)
+        downs = sum(1 for a, b in zip(sides, sides[1:]) if a and not b)
+        return ups, downs
+
+    @pytest.mark.parametrize("name, start", [("eax", -7), ("rax", -1)])
+    def test_walk_crosses_zero_both_ways(self, name, start):
+        values = self.walk(
+            name, -10, 10, start,
+            lambda bits, width: bits - (1 << width) if bits >> (width - 1)
+            else bits, sigma_fraction=0.2)
+        ups, downs = self.crossings(values, 0)
+        assert ups > 0 and downs > 0
+
+    def test_unsigned_walk_crosses_2_31_both_ways(self):
+        hi = (1 << 32) - 1
+        # At the default sigma (5% of the range), no step reaches back
+        # into the range from the -2^31 a signed reading would give.
+        values = self.walk("eax", 0, hi, hi // 2, lambda bits, width: bits,
+                           sigma_fraction=0.05)
+        ups, downs = self.crossings(values, 1 << 31)
+        assert ups > 0 and downs > 0
