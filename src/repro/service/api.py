@@ -34,9 +34,12 @@ Agent surface (the HTTP twin of the scheduler's job source)::
     GET  /v1/jobs/{digest}/checkpoint   last uploaded checkpoint
     PUT  /v1/jobs/{digest}/checkpoint   owner-guarded checkpoint upload
 
-The server opens one :class:`~repro.service.store.Ledger` when it is
-built and serves every request from it, one request at a time under
-the server's lock; :meth:`ApiServer.stop` closes it.  Reads run as
+Handler threads accept their own connections and are reused from one
+connection to the next (:class:`_AcceptingServer`), so a request never
+waits for a thread to start.  The server opens one
+:class:`~repro.service.store.Ledger` when it is built and serves every
+request from it, one request at a time under the server's lock;
+:meth:`ApiServer.stop` closes it.  Reads run as
 plain WAL reads and never take the store's write lock, and writes take
 it only for their own ``BEGIN IMMEDIATE`` transactions, so the server
 composes with any number of local schedulers and shared-store agents
@@ -55,11 +58,11 @@ from __future__ import annotations
 import json
 import queue
 import re
+import socket
 import threading
-import time
 from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 from urllib import error as urlerror
 from urllib import parse as urlparse
 from urllib import request as urlrequest
@@ -195,6 +198,12 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         path = self.path.split("?", 1)[0]
         try:
+            if self.server.closing:  # type: ignore[attr-defined]
+                # A connection kept alive across stop(): refuse its next
+                # request and hang up, so that its thread ends too.
+                self._send_json({"error": "the server is shutting down"},
+                                status=503, close=True)
+                return
             for route_method, pattern, name in _ROUTES:
                 if route_method != method:
                     continue
@@ -233,11 +242,15 @@ class _Handler(BaseHTTPRequestHandler):
             raise _HttpFail(400, "request body must be a JSON object")
         return doc
 
-    def _send_json(self, payload: Dict, status: int = 200) -> None:
+    def _send_json(self, payload: Dict, status: int = 200,
+                   close: bool = False) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            # Also sets close_connection: no request follows this one.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -493,6 +506,8 @@ class _Handler(BaseHTTPRequestHandler):
                 try:
                     event = sub.get(timeout=10.0)
                 except queue.Empty:
+                    if self.server.closing:  # type: ignore[attr-defined]
+                        break
                     self.wfile.write(b": keepalive\n\n")
                     self.wfile.flush()
                     continue
@@ -642,11 +657,96 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json({"applied": applied}, status=200 if applied else 409)
 
 
+class _AcceptingServer(HTTPServer):
+    """An HTTP server whose handler threads accept their own connections.
+
+    Each thread loops: ``accept()`` a connection, serve all of its
+    keep-alive requests, ``accept()`` again.  A thread that takes a
+    connection while no other thread waits to accept first starts one
+    more, so one thread always waits for the next connection (an SSE
+    stream or a slow client delays no one) and the threads number at
+    most the peak of concurrent connections plus one.  Reused threads
+    save starting one per connection, about half of a loopback round
+    trip.
+
+    :meth:`shutdown` marks the server closing and shuts the listening
+    socket down, which on Linux wakes every blocked ``accept()`` with
+    ``EINVAL``; it returns once the waiting threads have ended.  Threads
+    serving a connection end after it.
+    """
+
+    def __init__(self, address, handler) -> None:
+        super().__init__(address, handler)
+        self._lock = threading.Lock()
+        # Threads not serving a connection: in accept(), or about to be.
+        self._idle: Set[threading.Thread] = set()
+        self._closed = threading.Event()
+
+    @property
+    def closing(self) -> bool:
+        return self._closed.is_set()
+
+    def start(self) -> None:
+        """Start the first accepting thread and return."""
+        with self._lock:
+            self._start_thread()
+
+    def serve_forever(self) -> None:  # type: ignore[override]
+        """Start accepting, then wait for :meth:`shutdown`."""
+        self.start()
+        self._closed.wait()
+
+    def shutdown(self) -> None:
+        with self._lock:
+            if self._closed.is_set():
+                return
+            self._closed.set()
+            idle = list(self._idle)
+        try:
+            self.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:  # platforms that refuse it on a listening socket
+            pass
+        for thread in idle:
+            thread.join(timeout=1.0)
+
+    def _start_thread(self) -> None:
+        # The caller holds self._lock.
+        thread = threading.Thread(target=self._accept_loop,
+                                  name="api-server", daemon=True)
+        self._idle.add(thread)
+        thread.start()
+
+    def _accept_loop(self) -> None:
+        me = threading.current_thread()
+        while not self._closed.is_set():
+            try:
+                request, address = self.get_request()
+            except OSError:
+                # The socket was shut down, or a connection was reset
+                # before it was accepted.
+                continue
+            with self._lock:
+                self._idle.discard(me)
+                if not self._idle and not self._closed.is_set():
+                    self._start_thread()
+            try:
+                self.finish_request(request, address)
+            except Exception:
+                self.handle_error(request, address)
+            finally:
+                # Idle again before hanging up: a client that waits for
+                # the hang-up to connect again finds this thread, and
+                # does not make a third one start.
+                with self._lock:
+                    self._idle.add(me)
+                self.shutdown_request(request)
+
+
 class ApiServer:
     """Threaded HTTP server over one store directory.
 
     ``port=0`` picks a free port (see :attr:`port` after construction).
-    Run with :meth:`start` (background thread) or :meth:`serve_forever`.
+    Run with :meth:`start` (returns at once) or :meth:`serve_forever`.
     The store is opened here, once, and closed by :meth:`stop`.
     """
 
@@ -654,13 +754,12 @@ class ApiServer:
                  bus: Optional[EventBus] = None, verbose: bool = False):
         self.bus = bus if bus is not None else EventBus()
         self.catalog_cache = CatalogCache()
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
+        self._httpd = _AcceptingServer((host, port), _Handler)
         try:
             ledger = Ledger(root)
         except BaseException:
             self._httpd.server_close()
             raise
-        self._httpd.daemon_threads = True
         self._httpd.ledger = ledger  # type: ignore[attr-defined]
         self._httpd.lock = threading.Lock()  # type: ignore[attr-defined]
         self._httpd.bus = self.bus  # type: ignore[attr-defined]
@@ -668,37 +767,24 @@ class ApiServer:
         self._httpd.catalog_cache = \
             self.catalog_cache  # type: ignore[attr-defined]
         self.host, self.port = self._httpd.server_address[:2]
-        self._thread: Optional[threading.Thread] = None
-        # Whether a serve loop was started and not yet shut down:
-        # shutdown() waits for a loop to exit, so it would wait forever
-        # on a server that never served.
-        self._serving = False
 
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
     def start(self) -> "ApiServer":
-        self._serving = True
-        self._thread = threading.Thread(target=self._httpd.serve_forever,
-                                        name="api-server", daemon=True)
-        self._thread.start()
+        self._httpd.start()
         return self
 
     def serve_forever(self) -> None:
-        self._serving = True
         self._httpd.serve_forever()
 
     def stop(self) -> None:
-        """Shut down a running serve loop, then close the socket and the
-        store.  Works on a server that never started; a second call does
-        nothing."""
-        if self._serving:
-            self._httpd.shutdown()
-            self._serving = False
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+        """Stop accepting, then close the socket and the store.  Returns
+        without waiting for open connections: their next request
+        answers 503.  Works on a server that never started; a second
+        call does nothing."""
+        self._httpd.shutdown()
         self._httpd.server_close()
         # Under the lock no handler is mid-transaction; handlers that
         # reach it later answer 503.  close() hands this process's

@@ -16,11 +16,12 @@ from repro.x86.instruction import UNUSED, Instruction
 class Program:
     """An immutable sequence of instruction slots."""
 
-    __slots__ = ("slots", "_hash")
+    __slots__ = ("slots", "_hash", "_latency")
 
     def __init__(self, slots: Iterable[Instruction]):
         self.slots: Tuple[Instruction, ...] = tuple(slots)
         self._hash = None
+        self._latency = None
 
     @classmethod
     def from_instructions(cls, instructions: Sequence[Instruction],
@@ -43,20 +44,31 @@ class Program:
 
     @property
     def latency(self) -> int:
-        """Static latency estimate: sum of per-instruction latencies."""
-        return sum(i.latency for i in self.slots)
+        """Static latency estimate: sum of per-instruction latencies.
+
+        Summed once per program; the edits below carry it over, since
+        the cost function reads it for every proposal."""
+        if self._latency is None:
+            self._latency = sum(i.latency for i in self.slots)
+        return self._latency
 
     def with_slot(self, index: int, instruction: Instruction) -> "Program":
         """A copy with one slot replaced."""
         slots = list(self.slots)
+        removed = slots[index]
         slots[index] = instruction
-        return Program(slots)
+        program = Program(slots)
+        program._latency = (self.latency - removed.latency
+                            + instruction.latency)
+        return program
 
     def with_swap(self, i: int, j: int) -> "Program":
         """A copy with two slots interchanged."""
         slots = list(self.slots)
         slots[i], slots[j] = slots[j], slots[i]
-        return Program(slots)
+        program = Program(slots)
+        program._latency = self._latency
+        return program
 
     def compact(self) -> "Program":
         """A copy with UNUSED slots removed (for display/verification)."""

@@ -6,6 +6,7 @@ the same RPCs a fleet agent uses."""
 import http.client
 import json
 import os
+import socket
 import sqlite3
 import sys
 import threading
@@ -583,3 +584,147 @@ class TestSharedStore:
         assert not submitter.is_alive()
         assert statuses == [503]
         assert "Traceback" not in capfd.readouterr().err
+
+
+def _read_to_eof(sock) -> bytes:
+    reply = b""
+    while True:  # until the server hangs up
+        chunk = sock.recv(4096)
+        if not chunk:
+            return reply
+        reply += chunk
+
+
+def _health_on_a_fresh_connection(server) -> bytes:
+    """One request on its own connection, which ends before this
+    returns.  (A client that connects again before the server has hung
+    up holds two connections for a moment, and may meet one more
+    thread.)"""
+    with socket.create_connection((server.host, server.port),
+                                  timeout=5) as sock:
+        sock.sendall(b"GET /v1/health HTTP/1.1\r\n"
+                     b"Host: localhost\r\nConnection: close\r\n\r\n")
+        return _read_to_eof(sock)
+
+
+def _record_health_threads(monkeypatch) -> list:
+    """The handler thread of every /v1/health request, in order."""
+    threads = []
+    health = _Handler._health
+
+    def recording_health(self):
+        threads.append(threading.current_thread())
+        health(self)
+
+    monkeypatch.setattr(_Handler, "_health", recording_health)
+    return threads
+
+
+class TestAcceptingThreads:
+    """Handler threads accept their own connections: they serve one
+    connection after another, one of them always waits for the next
+    connection, and stop() wakes the waiting ones at once."""
+
+    def test_fresh_connections_reuse_threads(self, service, monkeypatch):
+        server, _client, _root = service
+        threads = _record_health_threads(monkeypatch)
+        for _ in range(50):
+            reply = _health_on_a_fresh_connection(server)
+            assert reply.startswith(b"HTTP/1.1 200 ")
+        assert len(threads) == 50
+        # One thread serves while the other waits for the next
+        # connection; a thread per connection would make 50.
+        assert len(set(threads)) <= 2
+
+    def test_concurrent_clients_meet_one_spare_thread(self, service,
+                                                      monkeypatch):
+        # Eight clients hold at most eight connections at once, so the
+        # server may start at most nine threads; a lost update to its
+        # idle set would start more, or leave a connection unaccepted.
+        server, _client, _root = service
+        threads = _record_health_threads(monkeypatch)
+        errors = []
+
+        def client():
+            for _ in range(20):
+                reply = _health_on_a_fresh_connection(server)
+                if not reply.startswith(b"HTTP/1.1 200 "):
+                    errors.append(reply[:40])
+
+        clients = [threading.Thread(target=client) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in clients)
+        assert errors == []
+        assert len(threads) == 160
+        assert len(set(threads)) <= 9
+
+    def test_open_streams_do_not_starve_a_select(self, service):
+        server, _client, root = service
+        _seed_catalog(root)
+        connections = []
+        try:
+            for _ in range(3):
+                stream = http.client.HTTPConnection(server.host,
+                                                    server.port, timeout=5)
+                connections.append(stream)
+                stream.request("GET", "/v1/events")
+                assert stream.getresponse().status == 200
+            idle = http.client.HTTPConnection(server.host, server.port,
+                                              timeout=5)
+            connections.append(idle)
+            idle.request("GET", "/v1/health")
+            assert json.loads(idle.getresponse().read())["ok"] is True
+            client = ServiceClient(server.url, timeout=5.0)
+            start = time.perf_counter()
+            out = client.catalog_select(4.0, workload="dot:2")
+            elapsed = time.perf_counter() - start
+        finally:
+            for connection in connections:
+                connection.close()
+        assert out["assignment"]["dot"]["id"] == "dot/eta=10"
+        assert elapsed < 1.0, f"select took {elapsed:.3f}s"
+
+    def test_stop_returns_at_once(self, tmp_path):
+        before = set(threading.enumerate())
+        server = ApiServer(str(tmp_path / "store")).start()
+        acceptors = set(threading.enumerate()) - before
+        assert acceptors
+        start = time.perf_counter()
+        server.stop()
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.25, f"stop() took {elapsed:.3f}s"
+        assert not any(thread.is_alive() for thread in acceptors)
+
+    def test_kept_alive_connection_is_refused_after_stop(self, tmp_path):
+        before = set(threading.enumerate())
+        server = ApiServer(str(tmp_path / "store")).start()
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=5)
+        try:
+            conn.request("GET", "/v1/health")
+            response = conn.getresponse()
+            assert json.loads(response.read())["ok"] is True
+            server.stop()
+            conn.sock.sendall(b"GET /v1/health HTTP/1.1\r\n"
+                              b"Host: localhost\r\n\r\n")
+            reply = _read_to_eof(conn.sock)
+        finally:
+            conn.close()
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 503 ")
+        assert b"\r\nConnection: close" in head
+        assert json.loads(body) == {"error": "the server is shutting down"}
+        threads = set(threading.enumerate()) - before
+        deadline = time.monotonic() + 1.0
+        while any(t.is_alive() for t in threads) \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not any(thread.is_alive() for thread in threads)

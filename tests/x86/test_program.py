@@ -1,9 +1,13 @@
 """Tests for Program, Instruction, operands, and the UNUSED token."""
 
+import pickle
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.kernels import LIBIMF_KERNELS
 from repro.x86.assembler import assemble
 from repro.x86.instruction import UNUSED, Instruction
 from repro.x86.opcodes import MEM_EXTRA_LATENCY, OPCODES
@@ -92,6 +96,27 @@ class TestProgram:
     def test_compact(self):
         program = assemble("addsd xmm1, xmm0", total_slots=5)
         assert len(program.compact()) == 1
+
+    @pytest.mark.parametrize("name", sorted(LIBIMF_KERNELS))
+    def test_edits_carry_the_latency(self, name):
+        # Each edit derives its latency from its parent's, so a long
+        # chain of them would drift from a fresh sum if one were off.
+        pool = list(dict.fromkeys(
+            ins for factory in LIBIMF_KERNELS.values()
+            for ins in factory().program.slots)) + [UNUSED]
+        target = LIBIMF_KERNELS[name]().program
+        program = target.padded(len(target) + 4)
+        rng = random.Random(name)
+        for _ in range(400):
+            i = rng.randrange(len(program))
+            if rng.random() < 0.5:
+                program = program.with_slot(i, rng.choice(pool))
+            else:
+                program = program.with_swap(i, rng.randrange(len(program)))
+            assert program.latency == sum(ins.latency
+                                          for ins in program.slots)
+        assert pickle.loads(pickle.dumps(program)).latency == \
+            program.latency
 
     def test_hash_and_equality(self):
         a = assemble("addsd xmm1, xmm0")
