@@ -1,8 +1,7 @@
 """Sound branch-and-bound verification: convergence and dominance.
 
-Tracks the verifier the way BENCH_incremental.json tracks proposal
-throughput: for each kernel, the certified bound at box budgets
-64/256/1024/4096, checked against two obligations —
+Tracks the verifier's convergence: for each kernel, the certified bound
+at box budgets 64/256/1024/4096, checked against two obligations —
 
 * **Dominance**: a Geweke-convergence-checked MCMC validation run's max
   observed error (a true lower bound on the sup error) never exceeds

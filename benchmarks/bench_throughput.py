@@ -82,7 +82,7 @@ def test_jit_dispatch(benchmark, name):
 def test_jit_batched_dispatch(benchmark, name):
     spec, cases = _cases(name, 64)
     compiled = compile_program(spec.program)
-    compiled.specialize_batch()  # steady-state path, not the tier-up ramp
+    compiled.specialize_batch()  # keep its compile out of the timing
 
     def dispatch():
         compiled.run_batch(

@@ -10,9 +10,9 @@ libimf kernels the vector path must stay comfortably ahead of
 read-back included.
 
 All rates are measured through ``Runner.run_batch``, so backends compete
-on the exact path the cost function's full-evaluation loop uses.  A
-differential guard asserts the vector live-out bits equal the JIT's
-before anything is timed.
+on the exact path ``catalog build --measure`` times
+(``repro.core.perf.measure_ns_per_test``).  A differential guard asserts
+the vector live-out bits equal the JIT's before anything is timed.
 
 As a script it writes the ``BENCH_vector.json`` baseline consumed by CI
 and fails if fewer than ``--min-kernels`` kernels reach the
@@ -89,7 +89,7 @@ def measure_kernel_rates(name, tests=TESTS, repeats=REPEATS):
                for backend in ("emulator", "jit", "vector")}
     prepared = {backend: runner.prepare(spec.program)
                 for backend, runner in runners.items()}
-    prepared["jit"].specialize_batch()  # steady state, not the tier-up ramp
+    prepared["jit"].specialize_batch()  # keep its compile out of the timing
 
     # Differential guard: the vector path must reproduce the JIT's
     # live-out bits exactly (the test suite checks this exhaustively;

@@ -890,7 +890,9 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--testcases", type=int, default=32)
     opt.add_argument("--seed", type=int, default=0)
     opt.add_argument("--backend", default="jit", choices=known_backends(),
-                     help="execution backend for the cost function")
+                     help="execution backend that computes the target's "
+                          "outputs (proposals run as bound steps on "
+                          "every backend)")
     opt.add_argument("--restarts", type=_positive_int, default=1,
                      metavar="N",
                      help="independent chains with seeds seed, seed+1, ... "

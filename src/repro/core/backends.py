@@ -9,12 +9,11 @@ A backend is either *compiled* (``prepare`` translates the program once
 into an object exposing the ``CompiledProgram`` execution surface —
 ``writes``, ``run``, ``run_batch``) or *interpreted* (``prepare`` is the
 identity and execution goes through an
-:class:`~repro.x86.emulator.Emulator`).  The backend decides how full
-programs run (target outputs, reference evaluations, validation,
-exhaustive checking, catalog measurement); edit-aware proposal
-evaluation in :class:`repro.core.cost.CostFunction` resumes from prefix
-checkpoints and runs bound steps (:mod:`repro.x86.stepper`) whatever
-the backend.
+:class:`~repro.x86.emulator.Emulator`).  The backend decides how a
+search target's outputs, validation, exhaustive checking and catalog
+measurement run; :class:`repro.core.cost.CostFunction` runs every
+rewrite as bound steps (:mod:`repro.x86.stepper`), resumed from prefix
+checkpoints when the edit is known, whatever the backend.
 """
 
 from __future__ import annotations

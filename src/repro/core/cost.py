@@ -7,6 +7,11 @@ divergent signal behaviour, and reduces over the test set with ``⊕``
 (``max`` by default, per Section 5.2, so correctness cost cannot overflow
 no matter how many test cases are used).
 
+The configured backend computes the target's outputs.  Every rewrite
+runs one way on every backend: as bound steps and lane batches
+(:mod:`repro.x86.stepper`), from the cost function's prefix checkpoints
+when the caller names the edit, and from slot 0 otherwise.
+
 Two knobs the paper leaves implicit are exposed explicitly (and covered by
 ablation benchmarks):
 
@@ -32,10 +37,10 @@ from repro.fp.ulp import ulp_distance_bits, ulp_distance_columns
 from repro.x86.checkpoint import (Checkpoint, checkpoint_stride,
                                   flags_live_in, program_writes,
                                   union_writes)
-# compile_program is not called here: edit-aware evaluation runs
-# proposals as bound steps.  The name stays importable because the
-# end-to-end benchmark's traced runs wrap repro.core.cost.compile_program
-# (and bound_steps) to attribute JIT compiles and step binding.
+# compile_program is not called here: every evaluation runs as bound
+# steps.  The name stays importable because the end-to-end benchmark's
+# traced runs wrap repro.core.cost.compile_program (and bound_steps) to
+# attribute JIT compiles and step binding.
 from repro.x86.jit import compile_program  # noqa: F401
 from repro.x86.locations import Loc, MemLoc
 from repro.x86.program import Program
@@ -173,9 +178,9 @@ def _run_steps(steps: tuple, state) -> Optional[Signal]:
 
 
 class _IncPlan:
-    """Per-evaluation context of one incremental cost evaluation.
+    """Per-evaluation context of one cost evaluation.
 
-    Built once per proposal from its edit span; holds the resume
+    Built once per program from its edit span; holds the resume
     boundary (0 for a plan with no prefix to restore), the lower
     flags-safe boundaries a missing checkpoint can be captured from, the
     prefix's write set, the bound steps of the suffix ``[boundary, end)``
@@ -213,7 +218,16 @@ class CostFunction:
         # heuristic), so the next doomed proposal usually dies on its
         # first execution.  tests / target_outputs / _expected are
         # permuted in lockstep; every cost value is order-independent.
-        self.tests = list(tests)
+        # A test object listed twice is replaced by an equal copy: each
+        # slot runs on its test's pooled state, and two slots sharing
+        # one state would alias it within a lane batch.
+        self.tests = []
+        seen = set()
+        for test in tests:
+            if id(test) in seen:
+                test = TestCase(test.inputs, test.segments)
+            seen.add(id(test))
+            self.tests.append(test)
         self.perf = LatencyPerf(target.latency, scale=config.perf_scale)
         # The target must run cleanly on every test case.
         self.target_outputs = self.runner.outputs_for(target, self.tests)
@@ -228,7 +242,7 @@ class CostFunction:
             for loc in locs)
         self._ulp_widths = ulp_widths(locs)
         self._log2_excess = config.compress == "log2"
-        # Full (non-early-terminated) evaluations are memoized in a
+        # Completed (not early-rejected) evaluations are memoized in a
         # bounded LRU: MCMC proposals frequently revisit recently seen
         # programs, and evicting one-at-a-time avoids the cold-cache
         # stall that wiping the whole memo mid-search used to cause.
@@ -236,12 +250,6 @@ class CostFunction:
         self._cache_max = cache_size
         self.cache_hits = 0
         self.cache_misses = 0
-        # Incremental (checkpointed-prefix) evaluation bookkeeping.  A
-        # duplicated test object would alias one pooled state between
-        # its two slots on the incremental path, so dup test sets always
-        # take the full batch path.
-        self._has_dup_tests = len({id(t) for t in self.tests}) != \
-            len(self.tests)
         self.incremental_hits = 0
         self.incremental_fallbacks = 0
         self.incremental_captures = 0
@@ -285,80 +293,13 @@ class CostFunction:
             total += weight * excess
         return total
 
-    # Batch chunk ladder: the first chunk is a single test case (with
-    # adaptive ordering it alone kills most doomed proposals), then chunk
-    # sizes grow geometrically so surviving proposals approach one
-    # compiled-function call per test set.
+    # Chunk ladder: the first chunk is a single test case (with adaptive
+    # ordering it alone kills most doomed proposals), then chunk sizes
+    # grow geometrically so surviving proposals run most of the test set
+    # as one lane batch.
     _CHUNK_GROWTH = 8
     _FIRST_CHUNK = 1
     _PROMOTE_WINDOW = 4
-
-    def _eq_loop(self, run_chunk, early_reject_above: Optional[float],
-                 perf_term: float) -> Tuple[float, bool, bool]:
-        """The shared chunk-ladder reduction over the test set.
-
-        ``run_chunk(index, end)`` executes tests ``[index, end)`` and
-        returns one ``(values, signal)`` pair per test.  Both the full
-        and the incremental evaluation paths run through this one loop,
-        so their chunk schedule, ⊕-reduction, early-reject bound, and
-        promotion behaviour are identical by construction — only the way
-        a chunk is executed differs.
-
-        Returns ``(eq, any_signal, completed)``.  When
-        ``early_reject_above`` is given and the running lower bound on
-        the total cost passes it, evaluation stops (``completed`` False)
-        and the worst test seen so far is promoted to the front of the
-        test order.
-        """
-        cfg = self.config
-        is_max = cfg.reduction == "max"
-        expected = self._expected
-        count = len(self.tests)
-        eq = 0.0
-        signalled = False
-        worst_index = 0
-        worst_err = -1.0
-        index = 0
-        chunk = self._FIRST_CHUNK
-        while index < count:
-            end = min(count, index + chunk)
-            results = run_chunk(index, end)
-            for offset, (values, signal) in enumerate(results):
-                if signal is not None:
-                    err = cfg.ws
-                    signalled = True
-                else:
-                    err = self._err_values(values, expected[index + offset])
-                if err > worst_err:
-                    worst_err, worst_index = err, index + offset
-                if is_max:
-                    if err > eq:
-                        eq = err
-                else:
-                    eq += err
-            index = end
-            if (early_reject_above is not None and index < count
-                    and eq + perf_term > early_reject_above):
-                self._promote(worst_index)
-                return eq, signalled, False
-            chunk *= self._CHUNK_GROWTH
-        return eq, signalled, True
-
-    def _eq(self, prepared, early_reject_above: Optional[float] = None,
-            perf_term: float = 0.0) -> Tuple[float, bool, bool]:
-        """Evaluate the ⊕-reduced test error with batched dispatch."""
-        tests = self.tests
-        runner = self.runner
-
-        def run_chunk(index: int, end: int):
-            if end - index == 1:
-                # A one-test chunk goes through the scalar entry point:
-                # proposals that die on the (adaptively fronted) first
-                # test never pay for compiling the batched entry point.
-                return (runner.run_values(prepared, tests[index]),)
-            return runner.run_batch(prepared, tests[index:end])
-
-        return self._eq_loop(run_chunk, early_reject_above, perf_term)
 
     def _promote(self, index: int) -> None:
         """Move the test at ``index`` to the front of the test order.
@@ -384,22 +325,23 @@ class CostFunction:
 
     def eq_fast(self, rewrite: Program) -> Tuple[float, bool]:
         """Reduce per-test errors with ⊕; returns (eq, any_signal)."""
-        prepared = self.runner.prepare(rewrite)
-        eq, signalled, _ = self._eq(prepared)
+        eq, signalled, _ = self._evaluate(
+            self._incremental_plan(rewrite, 0), None, 0.0)
         return eq, signalled
 
-    # -- incremental evaluation ------------------------------------------
+    # -- evaluation plans -------------------------------------------------
 
     def _incremental_plan(self, rewrite: Program,
-                          edit_index: int) -> Optional[_IncPlan]:
-        """Resolve an edit span into an incremental evaluation plan.
+                          edit_index: int) -> _IncPlan:
+        """Resolve an edit span into an evaluation plan.
 
         The plan resumes from the largest flags-safe checkpoint boundary
         at or below the edit.  When there is none (the program is too
-        short for checkpoints, the edit is in the first stride, or the
-        flags-liveness rule pushes the boundary to 0), the plan has
-        boundary 0 and no capture.  Only a test set with duplicated test
-        objects gets None (full evaluation).
+        short for checkpoints, the edit is at 0 or in the first stride,
+        or the flags-liveness rule pushes the boundary to 0), the plan
+        has boundary 0 and no capture: it runs the whole program from
+        the pooled state and leaves the checkpoint table alone.  An
+        evaluation with no edit index is such a plan (edit 0).
 
         The edit index is only a hint: a rewrite whose prefix up to the
         boundary is not the anchor's re-anchors the table on the rewrite
@@ -419,8 +361,6 @@ class CostFunction:
         flags-safe).  The liveness-based write sets are supersets of what
         the steps write, which is safe for snapshot and apply.
         """
-        if self._has_dup_tests:
-            return None
         slots = rewrite.slots
         n = len(slots)
         stride = checkpoint_stride(n)
@@ -496,10 +436,10 @@ class CostFunction:
         cp = table[boundary] = Checkpoint.capture(state, plan.writes_at_b)
         return cp, state
 
-    def _eq_incremental(self, plan: _IncPlan,
-                        early_reject_above: Optional[float] = None,
-                        perf_term: float = 0.0) -> Tuple[float, bool, bool]:
-        """The chunk ladder with checkpointed-prefix chunk execution.
+    def _evaluate(self, plan: _IncPlan, early_reject_above: Optional[float],
+                  perf_term: float) -> Tuple[float, bool, bool]:
+        """Run ``plan`` on the test set through the chunk ladder and
+        reduce the per-test errors (Equation 9) with ⊕.
 
         Per test: fault sentinels short-circuit to the prefix's signal,
         warm checkpoints are applied onto the pooled state and only the
@@ -514,6 +454,12 @@ class CostFunction:
         (:func:`~repro.x86.stepper.run_lanes`), which leaves each state
         as its bound steps would; a one-lane batch is slower than the
         bound steps, so the chunk size alone picks the path.
+
+        Returns ``(eq, any_signal, completed)``.  When
+        ``early_reject_above`` is given and the running lower bound on
+        the total cost passes it after a chunk, evaluation stops
+        (``completed`` False) and the worst test seen so far is promoted
+        to the front of the test order.
         """
         tests = self.tests
         tables = self._checkpoints
@@ -541,6 +487,7 @@ class CostFunction:
             return state, None
 
         def run_chunk(index: int, end: int):
+            """One ``(values, signal)`` pair per test of ``[index, end)``."""
             if end - index == 1:
                 state, signal = at_boundary(index)
                 if signal is None:
@@ -560,15 +507,45 @@ class CostFunction:
             if states:
                 lanes = plan.lanes
                 if lanes is None:
-                    lanes = plan.lanes = lane_steps(
-                        plan.slots[plan.boundary:])
+                    lanes = plan.lanes = lane_steps(plan.slots[boundary:])
                 for k, state, signal in zip(live, states,
                                             run_lanes(lanes, states)):
                     out[k] = ((None, signal) if signal is not None
                               else (values_of(state), None))
             return out
 
-        return self._eq_loop(run_chunk, early_reject_above, perf_term)
+        cfg = self.config
+        is_max = cfg.reduction == "max"
+        expected = self._expected
+        count = len(tests)
+        eq = 0.0
+        signalled = False
+        worst_index = 0
+        worst_err = -1.0
+        index = 0
+        chunk = self._FIRST_CHUNK
+        while index < count:
+            end = min(count, index + chunk)
+            for offset, (values, signal) in enumerate(run_chunk(index, end)):
+                if signal is not None:
+                    err = cfg.ws
+                    signalled = True
+                else:
+                    err = self._err_values(values, expected[index + offset])
+                if err > worst_err:
+                    worst_err, worst_index = err, index + offset
+                if is_max:
+                    if err > eq:
+                        eq = err
+                else:
+                    eq += err
+            index = end
+            if (early_reject_above is not None and index < count
+                    and eq + perf_term > early_reject_above):
+                self._promote(worst_index)
+                return eq, signalled, False
+            chunk *= self._CHUNK_GROWTH
+        return eq, signalled, True
 
     def set_current(self, program: Program) -> None:
         """Anchor the checkpoint table on ``program``, the chain's
@@ -593,16 +570,16 @@ class CostFunction:
                     table.pop(b, None)
 
     def incremental_stats(self) -> Dict[str, int]:
-        """Counters of the incremental path: evaluations resumed from a
-        checkpoint (hits), evaluations from boundary 0 or by full
-        evaluation (fallbacks), and checkpoint captures."""
+        """Counters of edit-aware evaluations (``cost`` with an edit
+        index): those resumed from a checkpoint (hits), those run from
+        boundary 0 (fallbacks), and checkpoint captures."""
         return {
             "hits": self.incremental_hits,
             "fallbacks": self.incremental_fallbacks,
             "captures": self.incremental_captures,
         }
 
-    # -- full cost -------------------------------------------------------
+    # -- total cost ------------------------------------------------------
 
     def cost(self, rewrite: Program,
              early_reject_above: Optional[float] = None,
@@ -617,10 +594,11 @@ class CostFunction:
         ``edit_index``: the proposal's edit span (lowest changed slot
         index) relative to the chain's current program.  When given, the
         evaluator resumes from a checkpointed prefix state and
-        re-executes only ``[boundary, end)`` per test, as bound steps
-        on every backend, compiling nothing; results are bit-identical
-        to full evaluation, so this is purely a fast path (with the
-        fallbacks listed in :meth:`_incremental_plan`).
+        re-executes only ``[boundary, end)`` per test; without it, every
+        test runs the whole program (a boundary-0 plan, see
+        :meth:`_incremental_plan`).  Either way the program runs as
+        bound steps and lane batches on every backend, compiling
+        nothing, and the result is the same.
         """
         cached = self._cache.get(rewrite)
         if cached is not None:
@@ -630,22 +608,14 @@ class CostFunction:
         self.cache_misses += 1
         cfg = self.config
         perf = self.perf(rewrite) if cfg.k != 0.0 else 0.0
-        plan = None
+        plan = self._incremental_plan(rewrite, edit_index or 0)
         if edit_index is not None:
-            plan = self._incremental_plan(rewrite, edit_index)
-            if plan is None or plan.boundary == 0:
-                self.incremental_fallbacks += 1
-            else:
+            if plan.boundary:
                 self.incremental_hits += 1
-        if plan is not None:
-            eq, signalled, completed = self._eq_incremental(
-                plan, early_reject_above=early_reject_above,
-                perf_term=cfg.k * perf)
-        else:
-            prepared = self.runner.prepare(rewrite)
-            eq, signalled, completed = self._eq(
-                prepared, early_reject_above=early_reject_above,
-                perf_term=cfg.k * perf)
+            else:
+                self.incremental_fallbacks += 1
+        eq, signalled, completed = self._evaluate(
+            plan, early_reject_above, cfg.k * perf)
         total = eq + cfg.k * perf
         result = CostResult(total=total, eq=eq, perf=perf, signalled=signalled)
         if completed:

@@ -57,7 +57,9 @@ def measure_ns_per_test(program: Program, tests, live_outs,
         raise ValueError("latency probe needs at least one test case")
     runner = Runner(live_outs, backend=backend)
     prepared = runner.prepare(program)
-    runner.run_batch(prepared, tests)  # warm-up: compile + caches
+    # Warm-up: fills the caches and, on jit, compiles the batched entry
+    # point the repeats time.
+    runner.run_batch(prepared, tests)
     best = float("inf")
     for _ in range(max(repeats, 1)):
         start = time.perf_counter()

@@ -22,9 +22,8 @@ class SearchStats:
     # chain (empty when the search ran on the emulator backend).
     jit_cache: dict = field(default_factory=dict)
     # Incremental-evaluator telemetry: proposals that resumed from a
-    # checkpointed prefix (hits), proposals with an edit hint and no
-    # usable boundary, run from slot 0 or by full evaluation
-    # (fallbacks), and on-demand checkpoint captures.
+    # checkpointed prefix (hits), proposals with no usable boundary,
+    # run from slot 0 (fallbacks), and on-demand checkpoint captures.
     incremental: dict = field(default_factory=dict)
     # DCE memoization hit/miss deltas (Stoke._dce).
     dce_cache: dict = field(default_factory=dict)

@@ -147,8 +147,9 @@ class Runner:
 
         Programs that cannot store to memory run on the tests' shared
         pristine templates — no pooled-state restore at all, and the
-        full-register pack image is cached across batches (the search
-        evaluates thousands of proposals against one fixed test set).
+        full-register pack image is cached across batches, so repeated
+        ``run_batch`` calls on one Runner over the same tests pack them
+        once.
         Memory-writing programs mutate per-lane sandbox segments in
         place, so they take each test's pooled state with a
         registers-clean promise; the register files still never leave
@@ -236,8 +237,8 @@ class Runner:
         The cache maps test-object identity to a column in a growing
         full-register pack built from each test's pristine template;
         a batch's image is then one C-level ``np.take`` gather per
-        array, however the cost function slices or reorders its test
-        list.  The cache holds strong references to its tests, so the
+        array, however a caller slices or reorders its test list across
+        calls.  The cache holds strong references to its tests, so the
         ids stay valid as long as their columns do.  Duplicated test
         objects are harmless here — templates are read-only to the
         vector path.

@@ -41,11 +41,6 @@ class SearchConfig:
     init: str = "target"  # 'target' | 'empty'
     extra_slots: int = 0  # UNUSED padding appended to the target
     trace_points: int = 64
-    early_reject: bool = True
-    # Checkpointed-prefix incremental evaluation (bit-identical fast
-    # path; disabled automatically for 'empty' init, where prefixes are
-    # mostly UNUSED and checkpoints save nothing).
-    incremental: bool = True
 
 
 @dataclass
@@ -236,7 +231,7 @@ class Stoke:
 
     def _step(self, rng, strategy, beta: float, config: SearchConfig,
               stats: SearchStats, iteration: int, current: Program,
-              current_cost, use_incremental: bool):
+              current_cost):
         """One propose -> evaluate -> accept step of the chain.
 
         The proposal's edit span flows into the cost function here: an
@@ -251,17 +246,15 @@ class Stoke:
             stats.invalid_proposals += 1
             return current, current_cost, None, None
         threshold = None
-        if config.early_reject and isinstance(strategy, McmcStrategy):
+        if isinstance(strategy, McmcStrategy):
             threshold = rejection_threshold(current_cost.total, beta)
-        result = self.cost_fn.cost(
-            proposal, early_reject_above=threshold,
-            edit_index=edit if use_incremental else None)
+        result = self.cost_fn.cost(proposal, early_reject_above=threshold,
+                                   edit_index=edit)
         if strategy.accept(rng, current_cost.total, result.total,
                            iteration, config.proposals):
             stats.accepted += 1
             stats.moves_accepted[move] = stats.moves_accepted.get(move, 0) + 1
-            if use_incremental:
-                self.cost_fn.set_current(proposal)
+            self.cost_fn.set_current(proposal)
             current, current_cost = proposal, result
         return current, current_cost, proposal, result
 
@@ -289,7 +282,6 @@ class Stoke:
         dce_before = (self._dce_hits, self._dce_misses)
         ordering_before = (self.cost_fn.promote_moves,
                            self.cost_fn.promote_skips)
-        use_incremental = config.incremental and config.init != "empty"
 
         elapsed_base = 0.0
         if resume is not None:
@@ -327,10 +319,9 @@ class Stoke:
                     self._record_correct(current, None, None)
             trace = [(0, best_cost)]
             first_iteration = 1
-        if use_incremental:
-            # A table left by an earlier chain on this cost function
-            # keeps only the prefixes it shares with this chain's start.
-            self.cost_fn.set_current(current)
+        # A table left by an earlier chain on this cost function keeps
+        # only the prefixes it shares with this chain's start.
+        self.cost_fn.set_current(current)
 
         trace_stride = max(1, config.proposals // max(1, config.trace_points))
         started = time.perf_counter()
@@ -339,7 +330,7 @@ class Stoke:
             stats.proposals += 1
             current, current_cost, proposal, result = self._step(
                 rng, strategy, beta, config, stats, iteration,
-                current, current_cost, use_incremental)
+                current, current_cost)
             if result is not None:
                 if result.correct:
                     best_correct, best_correct_latency = \

@@ -440,21 +440,10 @@ def generate_batch_source(program: Program,
     return "\n".join(lines) + "\n"
 
 
-# Batch dispatch is tiered like a real JIT: a program's first few
-# batches run through a generic Python driver loop around the scalar
-# function (no extra compilation), and the specialized one-call outer
-# loop is only generated once the program has proven hot.  Compiling the
-# batch source costs ~a scalar compile; a search proposal is typically
-# batch-dispatched once and then discarded, so eager specialization
-# would pay that compile for every surviving proposal.
-_BATCH_SPECIALIZE_AFTER = 4
-
-
 class CompiledProgram:
     """A program compiled to a reusable Python function."""
 
-    __slots__ = ("program", "source", "writes", "_fn", "_batch_fn",
-                 "_batch_calls")
+    __slots__ = ("program", "source", "writes", "_fn", "_batch_fn")
 
     def __init__(self, program: Program):
         self.program = program
@@ -465,7 +454,6 @@ class CompiledProgram:
         exec(code, _GLOBALS, env)  # noqa: S102
         self._fn = env["__kernel"]
         self._batch_fn = None
-        self._batch_calls = 0
 
     def run(self, state: MachineState) -> Outcome:
         """Execute on a machine state in place.
@@ -480,11 +468,10 @@ class CompiledProgram:
         return Outcome()
 
     def specialize_batch(self) -> None:
-        """Compile the specialized batched entry point now.
+        """Compile the batched entry point now.
 
-        Normally :meth:`run_batch` tiers up on its own; benchmarks and
-        tests call this to measure/exercise the steady-state path
-        directly.
+        :meth:`run_batch` compiles it on its first call; benchmarks call
+        this to keep that compile out of a timed window.
         """
         if self._batch_fn is None:
             code = compile(generate_batch_source(self.program),
@@ -502,26 +489,13 @@ class CompiledProgram:
         mid-program (architectural state undefined, as with ``run``) and
         the batch continues with the next state.
 
-        Cold programs loop over the scalar function; once this program
-        has been batch-dispatched ``_BATCH_SPECIALIZE_AFTER`` times, the
-        whole test set executes inside one generated compiled-function
-        call (see :func:`generate_batch_source`).
+        The whole batch executes inside one call of the batched entry
+        point (see :func:`generate_batch_source`), which the first call
+        compiles.
         """
         signals: List[object] = [None] * len(states)
         fn = self._batch_fn
         if fn is None:
-            self._batch_calls += 1
-            if self._batch_calls <= _BATCH_SPECIALIZE_AFTER:
-                scalar = self._fn
-                index = 0
-                for state in states:
-                    try:
-                        scalar(state.gp, state.xmm_lo, state.xmm_hi,
-                               state.mem)
-                    except SignalError as exc:
-                        signals[index] = exc.signal
-                    index += 1
-                return signals
             self.specialize_batch()
             fn = self._batch_fn
         fn([(s.gp, s.xmm_lo, s.xmm_hi, s.mem) for s in states], signals)
@@ -540,9 +514,9 @@ _COMPILE_CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
 def compile_program(program: Program) -> CompiledProgram:
     """Compile a program for repeated execution (memoized).
 
-    MCMC proposals frequently revisit recently seen programs (rejected
-    perturbations of the current sample, swap/swap-back pairs), so
-    compilation results are cached on the immutable program value.
+    Compilation results are cached on the immutable program value: a
+    process that prepares one program many times (the target of every
+    search chain and slow check on one kernel) compiles it once.
     """
     cached = _COMPILE_CACHE.get(program)
     if cached is not None:

@@ -5,16 +5,17 @@ per instruction per state) and the JIT (whole-program compile): each
 instruction is bound once to a closure with its operand decode already
 resolved, and the closure is cached by instruction content.
 
-Edit-aware cost evaluation runs every search proposal through bound
-steps, on every backend, and never through the JIT compiler: the
-suffix after a checkpoint, the capture segment that builds a missing
-checkpoint, and, for an edit with no usable checkpoint boundary, the
-whole program from slot 0.  A proposal is a never-before-seen program
-evaluated once over a handful of tests, so its compile (~1ms) could
-never amortize, and the per-instruction dispatch cost is the knob that
-sets proposal throughput.  Hoisting the ``isinstance`` operand dispatch
-out of the execution loop roughly halves it for the register-to-register
-moves and scalar-double arithmetic that dominate the libimf kernels;
+The search's cost function runs every program through bound steps, on
+every backend, and never through the JIT compiler: the suffix after a
+checkpoint, the capture segment that builds a missing checkpoint, and,
+for an edit with no usable checkpoint boundary or a program with no
+known edit, the whole program from slot 0.  A proposal is a
+never-before-seen program evaluated once over a handful of tests, so
+its compile (~1ms) could never amortize, and the per-instruction
+dispatch cost is the knob that sets proposal throughput.  Hoisting the
+``isinstance`` operand dispatch out of the execution loop roughly
+halves it for the register-to-register moves and scalar-double
+arithmetic that dominate the libimf kernels;
 the ``addsd``/``subsd``/``mulsd`` register forms also inline the
 bits<->double struct conversions of their scalar helpers, as the JIT's
 code generator does.

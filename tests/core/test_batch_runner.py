@@ -90,10 +90,6 @@ def test_signalling_test_does_not_poison_batch(backend):
     prepared = runner.prepare(program)
     results = runner.run_batch(prepared, tests)
     assert results == expected
-    if backend == "jit":
-        # same through the specialized (tiered-up) batch entry point
-        prepared.specialize_batch()
-        assert runner.run_batch(prepared, tests) == expected
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -1,13 +1,17 @@
-"""Differential tests for checkpointed-prefix incremental evaluation.
+"""Differential tests for checkpointed-prefix evaluation.
 
-The incremental path (edit-span aware ``CostFunction.cost``) must be
-observationally identical to full evaluation: same live-out bits
-(including NaN payloads), same signals, same CostResult — for any edit
-position, any backend, and any interleaving with full evaluations,
-accepts, and re-anchoring of the checkpoint table.
+``CostFunction`` runs every program as bound steps: edit-aware ``cost``
+resumes each test from a prefix checkpoint, and every other evaluation
+runs the whole program from the pooled state.  Both must equal
+:func:`reference_cost`, Equations 9-11 over the ``Runner``'s own
+outputs on the same backend: same live-out bits (including NaN
+payloads), same signals, same CostResult — for any edit position, any
+backend, and any interleaving with whole-program evaluations, accepts,
+and re-anchoring of the checkpoint table.
 """
 
 import gc
+import math
 import random
 
 import pytest
@@ -18,13 +22,16 @@ from repro.x86.checkpoint import (Checkpoint, checkpoint_stride,
                                   flags_live_in, program_writes,
                                   union_writes)
 from repro.x86.jit import compile_cache_stats
+from repro.x86.locations import MemLoc
 from repro.x86.scalar import d2u
 from repro.x86.signals import SignalError
 from repro.x86.state import MachineState
 from repro.x86.stepper import bound_steps
 from repro.x86.testcase import TestCase, uniform_testcases
 
-from repro.core.cost import CostConfig, CostFunction
+from repro.core.cost import (CostConfig, CostFunction, CostResult,
+                             location_ulp_distance)
+from repro.core.perf import LatencyPerf
 from repro.core.runner import Runner
 from repro.core.search import SearchConfig, Stoke
 from repro.core.strategies import McmcStrategy
@@ -63,11 +70,44 @@ def kernel_tests(count, seed=5):
 
 
 def make_pair(target, tests, backend="jit", **cfg):
-    """(incremental, reference) cost functions over shared tests."""
+    """(edit-aware, whole-program) cost functions over shared tests."""
     config = CostConfig(**cfg)
     inc = CostFunction(target, tests, LIVE_OUTS, config, backend=backend)
     ref = CostFunction(target, tests, LIVE_OUTS, config, backend=backend)
     return inc, ref
+
+
+def reference_cost(cost, program):
+    """The oracle for ``cost.cost(program)``: Equations 9-11 over
+    ``Runner.run_batch`` outputs of the target and ``program`` on
+    ``cost``'s backend, each location read with
+    :func:`location_ulp_distance`, with ``cost``'s eta, weights,
+    compression and ⊕, and no checkpoints, bound steps or early reject.
+    The tests are taken in ``cost``'s current order, on which only a
+    floating-point sum depends."""
+    cfg = cost.config
+    runner = Runner(cost.runner.live_outs, backend=cost.runner.backend)
+    want = runner.run_batch(runner.prepare(cost.target), cost.tests)
+    got = runner.run_batch(runner.prepare(program), cost.tests)
+    eq, signalled = 0.0, False
+    for (expected, _), (values, signal) in zip(want, got):
+        if signal is not None:
+            err, signalled = cfg.ws, True
+        else:
+            err = 0.0
+            for loc, bits, target_bits in zip(runner.live_outs, values,
+                                              expected):
+                excess = max(0.0, location_ulp_distance(loc, bits, target_bits)
+                             - cfg.eta)
+                if cfg.compress == "log2":
+                    excess = math.log2(1.0 + excess)
+                weight = cfg.wm if isinstance(loc, MemLoc) else cfg.wr
+                err += weight * excess
+        eq = max(eq, err) if cfg.reduction == "max" else eq + err
+    perf = (LatencyPerf(cost.target.latency, scale=cfg.perf_scale)(program)
+            if cfg.k != 0.0 else 0.0)
+    return CostResult(total=eq + cfg.k * perf, eq=eq, perf=perf,
+                      signalled=signalled)
 
 
 def run_steps(slots, state):
@@ -176,9 +216,9 @@ class TestSuffixEntryPoints:
 
 
 def walk_differential(backend, seed, steps=120, accept_every=7):
-    """Random MCMC-style walk asserting incremental == full per step."""
+    """Random MCMC-style walk asserting edit-aware == oracle per step."""
     tests = kernel_tests(10, seed=seed)
-    inc, ref = make_pair(KERNEL, tests, backend=backend)
+    inc, _ = make_pair(KERNEL, tests, backend=backend)
     transforms = Transforms(KERNEL)
     rng = random.Random(seed)
     current = KERNEL
@@ -187,9 +227,9 @@ def walk_differential(backend, seed, steps=120, accept_every=7):
         if proposal is None:
             continue
         got = inc.cost(proposal, edit_index=span)
-        want = ref.cost(proposal)
+        want = reference_cost(inc, proposal)
         assert got == want, (
-            f"step {step}: incremental {got} != full {want} "
+            f"step {step}: edit-aware {got} != reference {want} "
             f"(edit span {span})")
         if step % accept_every == 0:
             current = proposal
@@ -203,22 +243,26 @@ class TestIncrementalCostDifferential:
     def test_walk_matches_full_evaluation(self, backend, seed):
         walk_differential(backend, seed)
 
-    def test_walk_with_sum_reduction_and_eta(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_walk_with_sum_reduction_and_eta(self, backend):
         tests = kernel_tests(8, seed=77)
-        inc, ref = make_pair(KERNEL, tests, reduction="sum", eta=4.0)
+        inc, _ = make_pair(KERNEL, tests, backend=backend, reduction="sum",
+                           eta=4.0)
         transforms = Transforms(KERNEL)
         rng = random.Random(77)
         for _step in range(80):
             proposal, _move, span = transforms.propose(rng, KERNEL)
             if proposal is None:
                 continue
-            assert inc.cost(proposal, edit_index=span) == ref.cost(proposal)
+            assert inc.cost(proposal, edit_index=span) == \
+                reference_cost(inc, proposal)
 
     def test_interleaved_full_and_incremental_calls(self):
-        # The pooled states are shared by both paths; mixing them must
-        # not leak state in either direction.
+        # Resumed runs, whole-program runs and the oracle's Runner share
+        # the pooled states; mixing them must not leak state in any
+        # direction.
         tests = kernel_tests(8, seed=31)
-        inc, ref = make_pair(KERNEL, tests)
+        inc, _ = make_pair(KERNEL, tests)
         transforms = Transforms(KERNEL)
         rng = random.Random(31)
         for step in range(60):
@@ -226,7 +270,8 @@ class TestIncrementalCostDifferential:
             if proposal is None:
                 continue
             edit = span if step % 2 == 0 else None
-            assert inc.cost(proposal, edit_index=edit) == ref.cost(proposal)
+            assert inc.cost(proposal, edit_index=edit) == \
+                reference_cost(inc, proposal)
 
     def test_nan_payloads_survive_the_checkpoint_path(self):
         # A non-canonical quiet-NaN payload flowing through prefix and
@@ -246,11 +291,17 @@ class TestIncrementalCostDifferential:
                 for state, signal in resumed] == full
 
     def test_early_reject_paths_agree(self):
+        # A resumed evaluation and a boundary-0 one at the same threshold
+        # stop at the same chunk with the same result.  A completed
+        # result (memoized) is the oracle's; a rejected one passed the
+        # threshold on a subset of the tests, so its eq is at most the
+        # oracle's.
         tests = kernel_tests(10, seed=13)
         inc, ref = make_pair(KERNEL, tests)
         transforms = Transforms(KERNEL)
         rng = random.Random(13)
         threshold = inc.cost(KERNEL).total + 1.0
+        rejected = 0
         for _step in range(80):
             proposal, _move, span = transforms.propose(rng, KERNEL)
             if proposal is None:
@@ -259,6 +310,14 @@ class TestIncrementalCostDifferential:
                            edit_index=span)
             want = ref.cost(proposal, early_reject_above=threshold)
             assert got == want
+            oracle = reference_cost(inc, proposal)
+            if proposal in inc._cache:
+                assert got == oracle
+            else:
+                rejected += 1
+                assert got.total > threshold
+                assert got.eq <= oracle.eq
+        assert rejected > 0
 
 
 class TestFaultingPrograms:
@@ -274,14 +333,14 @@ class TestFaultingPrograms:
     def test_faults_agree_with_full_evaluation(self, backend, fault_slot):
         tests = kernel_tests(6, seed=50)
         target = assemble("\n".join(["addsd xmm0, xmm0"] * 12))
-        inc, ref = make_pair(target, tests, backend=backend)
+        inc, _ = make_pair(target, tests, backend=backend)
         rewrite = self._faulting_kernel(fault_slot)
+        want = reference_cost(inc, rewrite)
+        assert want.signalled
         for edit in (3, 6, 9, 11):
             got = inc.cost(rewrite, edit_index=edit)
             inc._cache.clear()  # force re-evaluation at the next edit
-            assert got == ref.cost(rewrite)
-            ref._cache.clear()
-            assert got.signalled
+            assert got == want
 
     def test_prefix_fault_sentinel_is_reused(self):
         tests = kernel_tests(4, seed=51)
@@ -339,7 +398,7 @@ class TestCheckpointLifecycle:
         # ``current`` moves but set_current is never called: every
         # proposal whose prefix leaves the anchor's re-anchors the table.
         tests = kernel_tests(8, seed=9)
-        inc, ref = make_pair(KERNEL, tests, backend=backend)
+        inc, _ = make_pair(KERNEL, tests, backend=backend)
         transforms = Transforms(KERNEL)
         rng = random.Random(9)
         current = KERNEL
@@ -347,22 +406,25 @@ class TestCheckpointLifecycle:
             proposal, _move, span = transforms.propose(rng, current)
             if proposal is None:
                 continue
-            assert inc.cost(proposal, edit_index=span) == ref.cost(proposal)
+            assert inc.cost(proposal, edit_index=span) == \
+                reference_cost(inc, proposal)
             current = proposal
         assert inc.incremental_hits > 0
 
-    def test_dishonest_edit_index_matches_full_evaluation(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_dishonest_edit_index_matches_full_evaluation(self, backend):
         tests = kernel_tests(6)
-        inc, ref = make_pair(KERNEL, tests)
+        inc, _ = make_pair(KERNEL, tests, backend=backend)
         inc.set_current(KERNEL)
         warm = KERNEL.with_slot(9, assemble("mulsd xmm0, xmm0").slots[0])
-        inc.cost(warm, edit_index=9)
+        assert inc.cost(warm, edit_index=9) == reference_cost(inc, warm)
         assert table_boundaries(inc) == [[8]] * len(tests)
         # Differs from the anchor at slot 1 but reports edit 9: the
         # boundary-8 checkpoints of KERNEL's prefix must not be applied.
         rewrite = warm.with_slot(1, assemble("addsd xmm1, xmm0").slots[0])
         captures = inc.incremental_captures
-        assert inc.cost(rewrite, edit_index=9) == ref.cost(rewrite)
+        assert inc.cost(rewrite, edit_index=9) == \
+            reference_cost(inc, rewrite)
         assert inc.incremental_hits == 2
         assert inc.incremental_captures == captures + len(tests)
         assert inc._anchor == rewrite.slots
@@ -372,7 +434,7 @@ class TestCheckpointLifecycle:
         # flags-safe stride multiple below n of the proposal that needs
         # it, so a test holds at most one checkpoint per stride multiple.
         tests = kernel_tests(8, seed=19)
-        inc, ref = make_pair(KERNEL, tests)
+        inc, _ = make_pair(KERNEL, tests)
         transforms = Transforms(KERNEL)
         rng = random.Random(19)
         n = len(KERNEL.slots)
@@ -385,7 +447,8 @@ class TestCheckpointLifecycle:
             if proposal is None:
                 continue
             before = [set(table) for table in inc._checkpoints]
-            assert inc.cost(proposal, edit_index=span) == ref.cost(proposal)
+            assert inc.cost(proposal, edit_index=span) == \
+                reference_cost(inc, proposal)
             flags = flags_live_in(proposal)
             for old, table in zip(before, inc._checkpoints):
                 assert set(table) <= multiples
@@ -396,27 +459,32 @@ class TestCheckpointLifecycle:
                 inc.set_current(current)
         assert inc.incremental_captures > 0
 
-    def test_duplicate_test_objects_fall_back(self):
+    def test_repeated_test_object_gets_its_own_state(self):
+        # The second slot of a test object listed twice holds an equal
+        # copy, so the two slots never share a pooled state or a
+        # checkpoint table, and the plan resumes both from boundary 8.
         tc = base_testcase(1)
-        inc, ref = make_pair(KERNEL, [tc, tc])
+        inc, _ = make_pair(KERNEL, [tc, tc, base_testcase(2)])
+        assert inc.tests[0] is tc and inc.tests[1] is not tc
+        assert inc.tests[1].inputs == tc.inputs
         rewrite = KERNEL.with_slot(8, assemble("mulsd xmm1, xmm0").slots[0])
-        assert inc.cost(rewrite, edit_index=8) == ref.cost(rewrite)
-        assert inc.incremental_hits == 0
-        assert inc.incremental_fallbacks == 1
+        assert inc.cost(rewrite, edit_index=8) == reference_cost(inc, rewrite)
+        assert inc.incremental_hits == 1
+        assert table_boundaries(inc) == [[8]] * 3
 
     def test_edit_at_zero_falls_back(self):
         tests = kernel_tests(4)
-        inc, ref = make_pair(KERNEL, tests)
+        inc, _ = make_pair(KERNEL, tests)
         rewrite = KERNEL.with_slot(0, assemble("movq $4.0d, xmm1").slots[0])
-        assert inc.cost(rewrite, edit_index=0) == ref.cost(rewrite)
+        assert inc.cost(rewrite, edit_index=0) == reference_cost(inc, rewrite)
         assert inc.incremental_fallbacks == 1
 
     def test_short_programs_fall_back(self):
         short = assemble("addsd xmm0, xmm0\nmulsd xmm1, xmm0")
         tests = kernel_tests(4)
-        inc, ref = make_pair(short, tests)
+        inc, _ = make_pair(short, tests)
         rewrite = short.with_slot(1, assemble("subsd xmm1, xmm0").slots[0])
-        assert inc.cost(rewrite, edit_index=1) == ref.cost(rewrite)
+        assert inc.cost(rewrite, edit_index=1) == reference_cost(inc, rewrite)
         assert inc.incremental_fallbacks == 1
 
 
@@ -440,13 +508,12 @@ class TestCompileFreeEvaluation:
             addsd xmm2, xmm2
         """)
         inc = CostFunction(target, tests, ("rax",), CostConfig())
-        ref = CostFunction(target, tests, ("rax",), CostConfig())
         late = target.with_slot(7, assemble("mulsd xmm2, xmm2").slots[0])
         early = target.with_slot(0, assemble("cmovbe rdx, rax").slots[0])
         # Both references run first: any later pooled reset clears the
         # flags, so a reference run in between would hide a leak.
-        want_late = ref.cost(late)
-        want_early = ref.cost(early)
+        want_late = reference_cost(inc, late)
+        want_early = reference_cost(inc, early)
         assert want_early.correct
         # An edit at 7 resumes from boundary 6: the interpreted suffix
         # runs the ucomisd and leaves CF=1 in every pooled state.
@@ -476,14 +543,21 @@ class TestCompileFreeEvaluation:
             if proposal is None:
                 continue
             walked += 1
+            # An evaluation with no edit index and eq_fast run the
+            # whole program as bound steps: they compile nothing either.
             before = compile_cache_stats()
             got = inc.cost(proposal, edit_index=span)
+            whole = ref.cost(proposal)
+            eq_fast = ref.eq_fast(proposal)
             after = compile_cache_stats()
             assert after["misses"] == before["misses"], f"proposal {walked}"
             assert after["hits"] == before["hits"], f"proposal {walked}"
-            # The full-path reference compiles; it runs outside the
-            # measured window.
-            assert got == ref.cost(proposal), f"proposal {walked}"
+            # The oracle runs the Runner, which compiles on jit; it runs
+            # outside the measured window.
+            want = reference_cost(inc, proposal)
+            assert got == want, f"proposal {walked}"
+            assert whole == want, f"proposal {walked}"
+            assert eq_fast == (want.eq, want.signalled), f"proposal {walked}"
             if walked % 5 == 0:
                 current = proposal
                 inc.set_current(proposal)
@@ -541,33 +615,125 @@ class TestDceMemoization:
         assert len(stoke._dce_cache) <= 4
 
 
-class TestSearchEquivalence:
-    def test_incremental_search_is_bit_identical(self, tiny_target):
-        tests = uniform_testcases(random.Random(0), 12, {"xmm0": (-4.0, 4.0)})
-        results = []
-        for incremental in (False, True):
-            stoke = Stoke(tiny_target, tests, ["xmm0"],
-                          CostConfig(eta=1e12, k=1.0))
-            config = SearchConfig(proposals=800, seed=21, extra_slots=4,
-                                  incremental=incremental)
-            results.append(stoke.optimize(config))
-        off, on = results
-        assert on.best_cost == off.best_cost
-        assert on.trace == off.trace
-        assert on.stats.accepted == off.stats.accepted
-        assert on.stats.moves_accepted == off.stats.moves_accepted
-        assert on.best_correct_latency == off.best_correct_latency
-        assert on.stats.incremental["hits"] > 0
-        assert off.stats.incremental["hits"] == 0
+def expected_trace(proposals, drops):
+    """The ``(iteration, best cost)`` trace a chain of ``proposals``
+    records at its 64 trace points, from the iterations at which the
+    best cost drops (``drops``, starting with iteration 0)."""
+    stride = max(1, proposals // 64)
+    trace = []
+    for iteration in range(proposals + 1):
+        if iteration == 0 or iteration % stride == 0 \
+                or iteration == proposals:
+            best = [cost for at, cost in drops if at <= iteration][-1]
+            trace.append((iteration, best))
+    return trace
 
-    def test_empty_init_disables_incremental(self, tiny_target):
+
+# exp's best correct rewrite in the search with repeated test objects.
+EXP_REPEATED_TESTS_BEST = """\
+movq $0x3ff71547652b82fe, xmm3
+movsd xmm0, xmm1
+mulsd xmm3, xmm1
+cvtsd2si xmm1, rax
+cvtsi2sd rax, xmm1
+movq $0x3fe62e42fee00000, xmm3
+mulsd xmm1, xmm3
+subsd xmm3, xmm0
+add $1023, rax
+shl $52, rax
+movq $0x3f56c16c1526449f, xmm3
+addsd xmm3, xmm2
+mulsd xmm0, xmm2
+movq $0x3f81111112bf829c, xmm3
+addsd xmm3, xmm2
+mulsd xmm0, xmm2
+movq $0x3fa55555555583a6, xmm3
+addsd xmm3, xmm2
+mulsd xmm0, xmm2
+movq $0x3fc555555554bc55, xmm3
+addsd xmm3, xmm2
+mulsd xmm0, xmm2
+movq $0x3fdfffffffffffa4, xmm3
+addsd xmm3, xmm2
+mulsd xmm0, xmm2
+movq $0x3ff000000000001f, xmm3
+addsd xmm3, xmm2
+mulsd xmm0, xmm2
+addsd xmm3, xmm2
+movq rax, xmm1
+mulsd xmm1, xmm2
+movsd xmm2, xmm0
+"""
+
+
+class TestSearchPins:
+    """Searches pinned to the results they gave when every evaluation
+    with no edit index, every synthesis chain and every test set with a
+    repeated test object ran through the backend's compiled program;
+    each gave the same result on all three backends."""
+
+    @staticmethod
+    def _assert_result(result, proposals, best_cost, drops, accepted,
+                       moves, best):
+        assert repr(result.best_cost) == best_cost
+        assert result.trace == expected_trace(
+            proposals, [(at, float(cost)) for at, cost in drops])
+        assert result.stats.accepted == accepted
+        assert result.stats.moves_accepted == moves
+        assert (None if result.best_correct is None
+                else result.best_correct.to_text()) == best
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_optimization_search(self, tiny_target, backend):
+        tests = uniform_testcases(random.Random(0), 12, {"xmm0": (-4.0, 4.0)})
+        stoke = Stoke(tiny_target, tests, ["xmm0"],
+                      CostConfig(eta=1e12, k=1.0), backend=backend)
+        result = stoke.optimize(SearchConfig(proposals=800, seed=21,
+                                             extra_slots=4))
+        self._assert_result(
+            result, 800, "20.0", [(0, "20.0")], 270,
+            {"instruction": 50, "opcode": 16, "operand": 53, "swap": 151},
+            tiny_target.to_text())
+        assert result.stats.incremental["hits"] > 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_synthesis_search(self, tiny_target, backend):
         tests = uniform_testcases(random.Random(0), 6, {"xmm0": (-4.0, 4.0)})
         stoke = Stoke(tiny_target, tests, ["xmm0"],
-                      CostConfig(eta=1e12, k=0.0))
+                      CostConfig(eta=1e12, k=0.0), backend=backend)
         result = stoke.optimize(SearchConfig(proposals=200, seed=3,
                                              init="empty"))
-        assert result.stats.incremental["hits"] == 0
+        self._assert_result(
+            result, 200, "52.999839819782856", [(0, "52.999839819782856")],
+            194,
+            {"instruction": 49, "opcode": 56, "operand": 38, "swap": 51},
+            None)
+        # Synthesis chains resume from checkpoints like any other.
+        assert result.stats.incremental["hits"] > 0
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_search_with_repeated_test_objects(self, backend):
+        spec = LIBIMF_KERNELS["exp"]()
+        tests = spec.testcases(random.Random(5), 8)
+        tests += [tests[0], tests[3]]
+        stoke = Stoke(spec.program, tests, spec.live_outs,
+                      CostConfig(eta=1e9, k=1.0), backend=backend)
+        result = stoke.optimize(SearchConfig(proposals=400, seed=7))
+        self._assert_result(
+            result, 400, "14.8",
+            [(0, "20.0"), (24, "19.2"), (30, "18.8"),
+             (60, "18.133333333333333"), (66, "17.6"),
+             (144, "17.466666666666665"), (150, "16.933333333333334"),
+             (186, "16.4"), (240, "16.133333333333333"),
+             (246, "15.866666666666667"), (270, "15.6"),
+             (288, "15.066666666666666"), (294, "14.8")],
+            92, {"instruction": 37, "opcode": 11, "operand": 31, "swap": 13},
+            EXP_REPEATED_TESTS_BEST)
+        # The repeated tests resume from checkpoints like the others.
+        assert result.stats.incremental["hits"] > 0
+
+
+class TestSearchEquivalence:
     def test_telemetry_exposes_incremental_counters(self, tiny_target):
         tests = uniform_testcases(random.Random(0), 6, {"xmm0": (-4.0, 4.0)})
         stoke = Stoke(tiny_target, tests, ["xmm0"], CostConfig(eta=1e12))
@@ -630,20 +796,20 @@ class TestVectorCheckpointComposition:
         assert refs[0][1] == (None, Signal.SIGSEGV)
         costs = []
         for backend in BACKENDS:
-            inc, ref = make_pair(target, tests, backend=backend,
-                                 reduction="sum")
+            inc, _ = make_pair(target, tests, backend=backend,
+                               reduction="sum")
             assert inc._incremental_plan(program, 6).boundary == 6
             got = inc.cost(program, edit_index=6)
             assert inc.incremental_hits == 1
-            assert got == ref.cost(program)
+            assert got == reference_cost(inc, program)
             assert got.signalled and got.eq > CostConfig().ws
             costs.append(got)
         assert costs[0] == costs[1] == costs[2]
 
     def test_vector_incremental_cost_matches_scalar_backends(self):
-        # The full incremental path (checkpoint capture, suffix resume,
+        # The whole edit-aware path (checkpoint capture, suffix resume,
         # promise-scoped pooled restore) through CostFunction must give
-        # identical CostResults on all three backends.
+        # the oracle's CostResults, the same on all three backends.
         tests = kernel_tests(8, seed=67)
         transforms = Transforms(KERNEL)
         rng = random.Random(67)
@@ -655,11 +821,11 @@ class TestVectorCheckpointComposition:
                 proposals.append((proposal, span))
         per_backend = []
         for backend in ("jit", "emulator", "vector"):
-            inc, ref = make_pair(KERNEL, tests, backend=backend)
+            inc, _ = make_pair(KERNEL, tests, backend=backend)
             costs = []
             for proposal, span in proposals:
                 got = inc.cost(proposal, edit_index=span)
-                assert got == ref.cost(proposal)
+                assert got == reference_cost(inc, proposal)
                 costs.append(got)
             assert inc.incremental_hits > 0
             per_backend.append(costs)

@@ -10,9 +10,10 @@ from repro.x86.jit import (CompiledProgram, compile_program, float_literal,
                            generate_batch_source, generate_source)
 from repro.x86.liveness import dead_code_eliminate, uses_and_defs
 from repro.x86.program import Program
+from repro.x86.signals import Signal
 from repro.x86.testcase import TestCase
 
-from tests.conftest import base_testcase, random_program
+from tests.conftest import SCRATCH_BASE, base_testcase, random_program
 
 
 class TestUsesAndDefs:
@@ -155,31 +156,33 @@ class TestBatchDispatch:
         states = [TestCase({}).build_state() for _ in range(3)]
         assert compiled.run_batch(states) == [None, None, None]
 
-    def test_tiers_up_after_threshold(self):
-        from repro.x86.jit import _BATCH_SPECIALIZE_AFTER
-
-        compiled = CompiledProgram(assemble("addsd xmm1, xmm0"))
-        tc = base_testcase(0)
-        for call in range(1, _BATCH_SPECIALIZE_AFTER + 2):
-            compiled.run_batch([tc.build_state()])
-            if call <= _BATCH_SPECIALIZE_AFTER:
-                assert compiled._batch_fn is None  # still the driver loop
-            else:
-                assert compiled._batch_fn is not None
-
-    def test_driver_loop_and_specialized_agree(self):
-        program = random_program(77, 10)
-        cold = CompiledProgram(program)
-        hot = CompiledProgram(program)
-        hot.specialize_batch()
-        tests = [base_testcase(i) for i in range(6)]
-        cold_states = [tc.build_state() for tc in tests]
-        hot_states = [tc.build_state() for tc in tests]
-        assert cold.run_batch(cold_states) == hot.run_batch(hot_states)
-        for cold_state, hot_state in zip(cold_states, hot_states):
-            assert cold_state.gp == hot_state.gp
-            assert cold_state.xmm_lo == hot_state.xmm_lo
-            assert cold_state.xmm_hi == hot_state.xmm_hi
+    def test_first_batch_matches_per_state_runs(self):
+        # A fresh program's first batch runs the batched entry point and
+        # leaves every state and signal as per-state run() does; the
+        # state in the middle faults on the load through rsi, after a
+        # store.
+        program = random_program(77, 10).padded(13)
+        for slot, line in ((10, "movsd xmm0, 8(rbx)"),
+                           (11, "movsd (rsi), xmm3"),
+                           (12, "addsd xmm3, xmm0")):
+            program = program.with_slot(slot, assemble(line).slots[0])
+        tests = [base_testcase(i).replace("rsi", SCRATCH_BASE)
+                 for i in range(5)]
+        tests[2] = tests[2].replace("rsi", 0xDEAD0000)
+        compiled = CompiledProgram(program)
+        batch = [tc.build_state() for tc in tests]
+        signals = compiled.run_batch(batch)
+        assert compiled._batch_fn is not None
+        single = [tc.build_state() for tc in tests]
+        assert signals == [compiled.run(state).signal for state in single]
+        assert signals[2] == Signal.SIGSEGV
+        assert signals.count(None) == 4
+        for got, want in zip(batch, single):
+            assert got.gp == want.gp
+            assert got.xmm_lo == want.xmm_lo
+            assert got.xmm_hi == want.xmm_hi
+            assert [img for _seg, img in got.mem.snapshot_writable()] == \
+                [img for _seg, img in want.mem.snapshot_writable()]
 
 
 class TestCompileCache:
