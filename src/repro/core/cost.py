@@ -34,9 +34,7 @@ import numpy as np
 
 from repro.fp.ieee754 import DOUBLE, SINGLE
 from repro.fp.ulp import ulp_distance_bits, ulp_distance_columns
-from repro.x86.checkpoint import (Checkpoint, checkpoint_stride,
-                                  flags_live_in, program_writes,
-                                  union_writes)
+from repro.x86.checkpoint import Checkpoint, checkpoint_stride
 # compile_program is not called here: every evaluation runs as bound
 # steps.  The name stays importable because the end-to-end benchmark's
 # traced runs wrap repro.core.cost.compile_program (and bound_steps) to
@@ -181,17 +179,15 @@ class _IncPlan:
     """Per-evaluation context of one cost evaluation.
 
     Built once per program from its edit span; holds the resume
-    boundary (0 for a plan with no prefix to restore), the lower
-    flags-safe boundaries a missing checkpoint can be captured from, the
-    prefix's write set, the bound steps of the suffix ``[boundary, end)``
-    and, once a chunk of two or more tests runs, its lane steps, and the
-    capture segments ``[base, boundary)`` bound so far, by base.  The
+    boundary (0 for a plan with no prefix to restore), the lower stride
+    multiples a missing checkpoint can be captured from (``bases``,
+    nearest first), the bound steps of the suffix ``[boundary, end)``
+    and, once a chunk of two or more tests runs, its lane steps.  The
     checkpoints themselves sit in the cost function's table, which the
     plan's rewrite shares its prefix with.
     """
 
-    __slots__ = ("slots", "boundary", "bases", "writes_at_b", "promise",
-                 "steps", "lanes", "segments")
+    __slots__ = ("slots", "boundary", "bases", "steps", "lanes")
 
 
 class CostFunction:
@@ -255,13 +251,11 @@ class CostFunction:
         self.incremental_captures = 0
         # Prefix checkpoints of one anchor program, the chain's current
         # program (set_current): per test, in test order, a ``boundary
-        # -> Checkpoint`` dict, and beside them the anchor's prefix
-        # write set per boundary.  An entry at boundary b holds for
-        # every program that shares ``anchor[:b]``.
+        # -> Checkpoint`` dict.  An entry at boundary b holds for every
+        # program that shares ``anchor[:b]``.
         self._anchor: tuple = ()
         self._checkpoints: List[Dict[int, Checkpoint]] = [
             {} for _ in self.tests]
-        self._prefix_writes: Dict[int, tuple] = {}
         # Adaptive-ordering stability window: identities of recently
         # promoted tests.  A promotion of a test already in this window
         # that sits within the window of the front is skipped — the
@@ -335,13 +329,13 @@ class CostFunction:
                           edit_index: int) -> _IncPlan:
         """Resolve an edit span into an evaluation plan.
 
-        The plan resumes from the largest flags-safe checkpoint boundary
-        at or below the edit.  When there is none (the program is too
-        short for checkpoints, the edit is at 0 or in the first stride,
-        or the flags-liveness rule pushes the boundary to 0), the plan
-        has boundary 0 and no capture: it runs the whole program from
-        the pooled state and leaves the checkpoint table alone.  An
-        evaluation with no edit index is such a plan (edit 0).
+        The plan resumes from the largest multiple of the checkpoint
+        stride at or below the edit.  When there is none (the program
+        is too short for checkpoints, or the edit is at 0 or in the
+        first stride), the plan has boundary 0 and no capture: it runs
+        the whole program from the pooled state and leaves the
+        checkpoint table alone.  An evaluation with no edit index is
+        such a plan (edit 0).
 
         The edit index is only a hint: a rewrite whose prefix up to the
         boundary is not the anchor's re-anchors the table on the rewrite
@@ -355,11 +349,10 @@ class CostFunction:
         runs all execute as bound steps, whose semantics are bit-identical
         to every backend's (tests/x86/test_differential.py is the
         contract; tests/x86/test_stepper.py pins bound steps to it).
-        Every run starts on a freshly reset pooled state, whose status
-        flags the pool restores to the test's all-clear values; a resumed
-        run never reads flags before writing them (the boundary is
-        flags-safe).  The liveness-based write sets are supersets of what
-        the steps write, which is safe for snapshot and apply.
+        A run from slot 0 starts on a freshly reset pooled state, whose
+        status flags the pool restores to the test's all-clear values;
+        a resumed run starts on the checkpoint's whole state, flags
+        included, so any stride multiple is a boundary.
         """
         slots = rewrite.slots
         n = len(slots)
@@ -367,86 +360,91 @@ class CostFunction:
         boundary = 0
         if stride > 0 and edit_index > 0:
             boundary = (min(edit_index, n - 1) // stride) * stride
-        if boundary > 0:
-            flags = flags_live_in(rewrite)
-            while boundary > 0 and flags[boundary]:
-                boundary -= stride
         plan = _IncPlan()
         plan.slots = slots
         plan.boundary = boundary
-        if boundary > 0:
-            if slots[:boundary] != self._anchor[:boundary]:
-                self.set_current(rewrite)
-            # Warm capture bases: lower flags-safe boundaries a missing
-            # checkpoint can be built from instead of replaying the
-            # whole prefix (descending, nearest first).
-            plan.bases = tuple(b for b in range(boundary - stride, 0, -stride)
-                               if not flags[b])
-            # Proposals from one anchor share their prefixes, so only
-            # the suffix's write set is computed per proposal.
-            writes = self._prefix_writes.get(boundary)
-            if writes is None:
-                writes = self._prefix_writes[boundary] = program_writes(
-                    rewrite, 0, boundary)
-            plan.writes_at_b = writes
-            plan.promise = union_writes(writes,
-                                        program_writes(rewrite, boundary))
-        else:
-            plan.bases = ()
-            plan.writes_at_b = None  # no prefix, nothing to capture
-            plan.promise = program_writes(rewrite)
+        if boundary > 0 and slots[:boundary] != self._anchor[:boundary]:
+            self.set_current(rewrite)
+        # Warm capture bases: lower boundaries a missing checkpoint can
+        # be built from instead of replaying the whole prefix.
+        plan.bases = range(boundary - stride, 0, -stride) if boundary else ()
         plan.steps = bound_steps(slots[boundary:])
         plan.lanes = None
-        plan.segments = {}
         return plan
 
-    def _capture(self, test: TestCase, table: Dict[int, Checkpoint],
-                 plan: _IncPlan):
-        """Capture ``test``'s missing checkpoint at the plan boundary
-        into its ``table``, from the nearest warm base below it.
+    def _at_boundary(self, index: int, end: int, plan: _IncPlan) -> list:
+        """Bring the tests of ``[index, end)`` to the plan boundary.
 
-        Returns ``(checkpoint, live_state)``: ``live_state`` is non-None
-        when the prefix ran cleanly, and is the test's pooled state
-        still holding the post-prefix values — the caller can run the
-        suffix on it directly without a restore/apply round trip.
+        Returns one pair per test: ``(state, None)``, its pooled state
+        holding the prefix's result, or ``(None, signal)`` when the
+        prefix signals on it.  A warm checkpoint is one restore of its
+        image and a fault sentinel answers at once.  A missing
+        checkpoint is captured from the nearest warm base below the
+        boundary (a fault sentinel there propagates without running
+        anything): the tests sharing a base run the segment ``[base,
+        boundary)`` as one lane batch, a lone test as bound steps, and
+        the capture run doubles as the prefix execution, so the
+        captured state is handed out as it is.
         """
+        tests = self.tests
         boundary = plan.boundary
-        base, base_cp = 0, None
-        for b in plan.bases:
-            if b in table:
-                base, base_cp = b, table[b]
-                break
-        if base_cp is not None and base_cp.signal is not None:
-            # The prefix already faults below the warm base; propagate
-            # the sentinel without executing anything.
-            cp = table[boundary] = Checkpoint.fault(base_cp.signal)
-            return cp, None
-        state = test.pooled_state(plan.promise)
-        if base_cp is not None:
-            base_cp.apply(state)
-        segment = plan.segments.get(base)
-        if segment is None:
-            segment = plan.segments[base] = bound_steps(
-                plan.slots[base:boundary])
-        signal = _run_steps(segment, state)
-        self.incremental_captures += 1
-        if signal is not None:
-            cp = table[boundary] = Checkpoint.fault(signal)
-            return cp, None
-        cp = table[boundary] = Checkpoint.capture(state, plan.writes_at_b)
-        return cp, state
+        if not boundary:
+            return [(tests[k].pooled_state(), None) for k in range(index, end)]
+        tables = self._checkpoints
+        out = []
+        cold = None  # base -> [(position in out, test index, base cp)]
+        for k in range(index, end):
+            table = tables[k]
+            cp = table.get(boundary)
+            if cp is None:
+                base, base_cp = 0, None
+                for b in plan.bases:
+                    base_cp = table.get(b)
+                    if base_cp is not None:
+                        base = b
+                        break
+                if base_cp is None or base_cp.signal is None:
+                    if cold is None:
+                        cold = {}
+                    cold.setdefault(base, []).append((len(out), k, base_cp))
+                    out.append(None)
+                    continue
+                cp = table[boundary] = Checkpoint.fault(base_cp.signal)
+            if cp.signal is not None:
+                out.append((None, cp.signal))
+            else:
+                out.append((tests[k].restored_state(cp.image), None))
+        if cold is None:
+            return out
+        for base, group in cold.items():
+            states = [tests[k].pooled_state() if cp is None
+                      else tests[k].restored_state(cp.image)
+                      for _pos, k, cp in group]
+            segment = plan.slots[base:boundary]
+            if len(states) == 1:
+                signals = (_run_steps(bound_steps(segment), states[0]),)
+            else:
+                signals = run_lanes(lane_steps(segment), states)
+            self.incremental_captures += len(states)
+            for (pos, k, _cp), state, signal in zip(group, states, signals):
+                if signal is None:
+                    tables[k][boundary] = Checkpoint.capture(state)
+                    out[pos] = (state, None)
+                else:
+                    tables[k][boundary] = Checkpoint.fault(signal)
+                    out[pos] = (None, signal)
+        return out
 
     def _evaluate(self, plan: _IncPlan, early_reject_above: Optional[float],
                   perf_term: float) -> Tuple[float, bool, bool]:
         """Run ``plan`` on the test set through the chunk ladder and
         reduce the per-test errors (Equation 9) with ⊕.
 
-        Per test: fault sentinels short-circuit to the prefix's signal,
-        warm checkpoints are applied onto the pooled state and only the
-        suffix executes, cold checkpoints are captured on demand (the
-        capture run doubles as the prefix execution).  A boundary-0
-        plan has no prefix: its "suffix" is the whole program, run on
-        the pooled state.
+        Each chunk's tests are first brought to the plan boundary
+        (:meth:`_at_boundary`: a restore, a fault sentinel or a capture
+        per test); only the suffix then executes.  A boundary-0 plan has
+        no prefix: its "suffix" is the whole program, run on the pooled
+        state.
 
         A one-test chunk runs the suffix as bound steps.  A chunk of two
         or more tests brings every test to the boundary first, then runs
@@ -461,35 +459,14 @@ class CostFunction:
         (``completed`` False) and the worst test seen so far is promoted
         to the front of the test order.
         """
-        tests = self.tests
-        tables = self._checkpoints
         values_of = self.runner.values_of
         steps = plan.steps
-        promise = plan.promise
-        boundary = plan.boundary
-
-        def at_boundary(k):
-            """``(state, None)`` of the ``k``-th test at the plan
-            boundary, or ``(None, signal)`` when the prefix signals on
-            that test."""
-            test = tests[k]
-            if not boundary:
-                return test.pooled_state(promise), None
-            cp = tables[k].get(boundary)
-            if cp is None:
-                cp, state = self._capture(test, tables[k], plan)
-                if state is not None:
-                    return state, None
-            if cp.signal is not None:
-                return None, cp.signal
-            state = test.pooled_state(promise)
-            cp.apply(state)
-            return state, None
 
         def run_chunk(index: int, end: int):
             """One ``(values, signal)`` pair per test of ``[index, end)``."""
+            at = self._at_boundary(index, end, plan)
             if end - index == 1:
-                state, signal = at_boundary(index)
+                state, signal = at[0]
                 if signal is None:
                     signal = _run_steps(steps, state)
                 if signal is not None:
@@ -498,8 +475,7 @@ class CostFunction:
             out = []
             live = []
             states = []
-            for k in range(index, end):
-                state, signal = at_boundary(k)
+            for state, signal in at:
                 if signal is None:
                     live.append(len(out))
                     states.append(state)
@@ -507,7 +483,8 @@ class CostFunction:
             if states:
                 lanes = plan.lanes
                 if lanes is None:
-                    lanes = plan.lanes = lane_steps(plan.slots[boundary:])
+                    lanes = plan.lanes = lane_steps(
+                        plan.slots[plan.boundary:])
                 for k, state, signal in zip(live, states,
                                             run_lanes(lanes, states)):
                     out[k] = ((None, signal) if signal is not None
@@ -517,7 +494,7 @@ class CostFunction:
         cfg = self.config
         is_max = cfg.reduction == "max"
         expected = self._expected
-        count = len(tests)
+        count = len(self.tests)
         eq = 0.0
         signalled = False
         worst_index = 0
@@ -554,20 +531,21 @@ class CostFunction:
 
         Entries at boundaries up to the first slot where ``program``
         differs from the old anchor hold for ``program`` too and stay;
-        the rest are dropped, with their prefix write sets.  Every entry
-        has its boundary's write set, so the write-set keys name every
-        boundary in use.
+        every table drops its entries above that slot.
         """
         slots = program.slots
         anchor = self._anchor
         self._anchor = slots
-        stale = [b for b in self._prefix_writes if slots[:b] != anchor[:b]]
-        if stale:
-            for b in stale:
-                del self._prefix_writes[b]
-            for table in self._checkpoints:
-                for b in stale:
-                    table.pop(b, None)
+        if slots == anchor:
+            return
+        first = 0
+        for new, old in zip(slots, anchor):
+            if new is not old and new != old:
+                break
+            first += 1
+        for table in self._checkpoints:
+            for b in [b for b in table if b > first]:
+                del table[b]
 
     def incremental_stats(self) -> Dict[str, int]:
         """Counters of edit-aware evaluations (``cost`` with an edit

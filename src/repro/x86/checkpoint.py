@@ -12,24 +12,20 @@ bound steps (:mod:`repro.x86.stepper`) on every backend:
 
 * :func:`checkpoint_stride` — how often to checkpoint, auto-sized from
   program length (``~sqrt(n)`` balances snapshot cost against replayed
-  suffix length).
-* :func:`flags_live_in` — per-index flags liveness.  Checkpoints do not
-  carry status flags, so the cost function's resume boundary (the
-  largest multiple of the stride at or below the edit) steps down past
-  any index where the suffix reads flags before writing them.
-* :func:`program_writes` — the conservative write set of a slice, which
-  names what a checkpoint must capture and what a pooled reset must
-  restore.
-* :class:`Checkpoint` — a write-set-aware snapshot of one test's pooled
-  machine state at a boundary (only the GP/XMM slots and sandbox pages
-  the running program's prefix can have written are copied), or a fault
-  sentinel when the prefix itself signals on that test.
+  suffix length).  Every stride multiple is a resume boundary.
+* :class:`Checkpoint` — one test's whole machine state at a boundary
+  (:meth:`~repro.x86.state.MachineState.snapshot`: register files,
+  status flags and writable pages), or a fault sentinel when the prefix
+  itself signals on that test.  A resumed run restores the image and so
+  reads the prefix's flags, as the uninterrupted run would.
+* :func:`program_writes` — the conservative write set of a program,
+  which the vector backend reports as a prepared program's ``writes``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.x86.liveness import uses_and_defs
 from repro.x86.program import Program
@@ -53,112 +49,55 @@ def checkpoint_stride(n_slots: int) -> int:
     return max(2, int(round(math.sqrt(n_slots))))
 
 
-def flags_live_in(program: Program) -> Tuple[bool, ...]:
-    """Per-index flags liveness: ``out[i]`` is True when some instruction
-    at ``>= i`` reads the status flags before any instruction writes them.
-
-    Resuming execution at index ``i`` with ``out[i]`` True would need the
-    flag values produced by the prefix, which checkpoints do not carry.
-    """
-    slots = program.slots
-    out = [False] * (len(slots) + 1)
-    live = False
-    for i in range(len(slots) - 1, -1, -1):
-        spec = slots[i].spec
-        if spec.reads_flags:
-            live = True
-        elif spec.writes_flags:
-            live = False
-        out[i] = live
-    return tuple(out)
-
-
-def union_writes(a: tuple, b: tuple) -> tuple:
-    """Union of two ``(gp, xmm_lo, xmm_hi, mem)`` write sets."""
-    return (tuple(sorted(set(a[0]) | set(b[0]))),
-            tuple(sorted(set(a[1]) | set(b[1]))),
-            tuple(sorted(set(a[2]) | set(b[2]))),
-            a[3] or b[3])
-
-
-def _instr_writes(instr) -> tuple:
-    """``(gp_indices, xmm_indices, writes_mem)`` defs of one instruction,
-    memoized on it: ``program_writes`` runs once per proposal on the
-    incremental path, and recomputing ``uses_and_defs`` for ~n slots
-    dwarfed the work it was sizing."""
-    try:
-        return instr._writes
-    except AttributeError:
-        pass
-    gp, xmm = set(), set()
-    mem = False
-    _uses, defs = uses_and_defs(instr)
-    for name in defs:
-        if name == "mem":
-            mem = True
-        elif name in _GP_INDEX:
-            gp.add(_GP_INDEX[name])
-        elif name in _XMM_INDEX:
-            xmm.add(_XMM_INDEX[name])
-    return instr.memoize("_writes", (frozenset(gp), frozenset(xmm), mem))
-
-
-def program_writes(program: Program, start: int = 0,
-                   stop: Optional[int] = None) -> tuple:
-    """Conservative ``(gp, xmm_lo, xmm_hi, mem)`` write set of a slice.
+def program_writes(program: Program) -> tuple:
+    """Conservative ``(gp, xmm_lo, xmm_hi, mem)`` write set of a program.
 
     The JIT reports exact write sets from codegen; this liveness-based
-    over-approximation (XMM defs count both halves) serves the vector
-    backend and the bound-step promises and checkpoints, where any
-    superset is safe for snapshot/restore.
+    over-approximation (XMM defs count both halves) is what
+    ``VectorizedProgram.writes`` reports for the vector backend, where
+    any superset is safe for a pooled-state promise.
     """
     gp, xmm = set(), set()
     mem = False
-    for instr in program.slots[start:stop]:
+    for instr in program.slots:
         if instr.is_unused:
             continue
-        gp_ids, xmm_ids, instr_mem = _instr_writes(instr)
-        gp |= gp_ids
-        xmm |= xmm_ids
-        mem = mem or instr_mem
+        _uses, defs = uses_and_defs(instr)
+        for name in defs:
+            if name == "mem":
+                mem = True
+            elif name in _GP_INDEX:
+                gp.add(_GP_INDEX[name])
+            elif name in _XMM_INDEX:
+                xmm.add(_XMM_INDEX[name])
     xmm_sorted = tuple(sorted(xmm))
     return tuple(sorted(gp)), xmm_sorted, xmm_sorted, mem
 
 
 class Checkpoint:
-    """State of one test's pooled machine state at a prefix boundary.
+    """One test's machine state at a prefix boundary.
 
-    ``writes`` is the cumulative ``(gp_indices, xmm_lo_indices,
-    xmm_hi_indices, writes_mem)`` write set of the prefix; only those
-    slots (and, when ``writes_mem``, the writable sandbox pages) are
-    captured, because everything else still holds the test's input
-    values after a pooled reset.  A checkpoint with ``signal`` set is a
-    fault sentinel: the prefix itself signalled on this test, so any
-    program sharing the prefix signals identically without executing.
+    ``image`` is the :meth:`~repro.x86.state.MachineState.snapshot` of
+    the test's pooled state after the prefix ran: every register, the
+    status flags and the writable pages, so bringing the test back to
+    the boundary is one ``TestCase.restored_state(image)``.  A checkpoint
+    with ``signal`` set is a fault sentinel: the prefix itself signalled
+    on this test, so any program sharing the prefix signals identically
+    without executing.
     """
 
-    __slots__ = ("writes", "data", "signal")
+    __slots__ = ("image", "signal")
 
-    def __init__(self, writes: Optional[tuple], data: Optional[tuple],
-                 signal: Optional[Signal]):
-        self.writes = writes
-        self.data = data
+    def __init__(self, image: Optional[tuple], signal: Optional[Signal]):
+        self.image = image
         self.signal = signal
 
     @classmethod
-    def capture(cls, state, writes: tuple) -> "Checkpoint":
-        """Snapshot the named slots (and pages) of ``state``."""
-        gp_idx, xl_idx, xh_idx, mem = writes
-        return cls(writes, state.snapshot_slots(gp_idx, xl_idx, xh_idx, mem),
-                   None)
+    def capture(cls, state) -> "Checkpoint":
+        """Snapshot the whole of ``state``."""
+        return cls(state.snapshot(), None)
 
     @classmethod
     def fault(cls, signal: Signal) -> "Checkpoint":
         """A sentinel recording that the prefix signals on this test."""
-        return cls(None, None, signal)
-
-    def apply(self, state) -> None:
-        """Write the captured slots into ``state`` (a pooled, pristine
-        state of the same test case this checkpoint was taken from)."""
-        gp_idx, xl_idx, xh_idx, _mem = self.writes
-        state.apply_slots(self.data, gp_idx, xl_idx, xh_idx)
+        return cls(None, signal)

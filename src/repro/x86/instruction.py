@@ -44,10 +44,9 @@ class Instruction:
 
     @property
     def spec(self) -> OpcodeSpec:
-        # Resolved once per instruction: the incremental evaluator walks
-        # slot tuples on every proposal (flags liveness, write sets,
-        # suffix interpretation) and the registry lookup was a measurable
-        # share of each walk.
+        # Resolved once per instruction: the emulator, the step binder
+        # and the DCE liveness walk read it for every slot they touch,
+        # and the registry lookup was a measurable share of each walk.
         try:
             return self._spec
         except AttributeError:
@@ -75,8 +74,7 @@ class Instruction:
         path keep it here rather than in module dicts keyed by
         instruction, whose lookups would hash the instruction each time:
         the bound step and lane step (``_step``, ``_lane``,
-        :mod:`repro.x86.stepper`) and the def set (``_writes``,
-        :mod:`repro.x86.checkpoint`).  The memo lives and dies with the
+        :mod:`repro.x86.stepper`).  The memo lives and dies with the
         instruction; equal instructions derive equal values.
         """
         object.__setattr__(self, name, value)

@@ -40,7 +40,8 @@ class MachineState:
 
         Together with :meth:`restore` this lets one state serve many
         executions (the evaluator's state pool) without the allocation
-        cost of :meth:`copy` per run.
+        cost of :meth:`copy` per run.  A prefix checkpoint is one such
+        snapshot of a test's pooled state at its boundary.
         """
         return (tuple(self.gp), tuple(self.xmm_lo), tuple(self.xmm_hi),
                 dict(self.flags), self.mem.snapshot_writable())
@@ -53,40 +54,6 @@ class MachineState:
         self.xmm_hi[:] = xmm_hi
         self.flags.update(flags)
         self.mem.restore_writable(mem_snapshot)
-
-    def snapshot_slots(self, gp_indices, xl_indices, xh_indices,
-                       mem: bool) -> tuple:
-        """Capture only the named slots (checkpoint capture fast path).
-
-        Records just a write set's current values so they can be
-        re-applied later with :meth:`apply_slots`.  Flags are
-        deliberately excluded — the JIT keeps them in locals, and resume
-        boundaries are chosen so no suffix ever needs flags from its
-        prefix.
-        """
-        gp = self.gp
-        lo = self.xmm_lo
-        hi = self.xmm_hi
-        return (tuple(gp[i] for i in gp_indices),
-                tuple(lo[i] for i in xl_indices),
-                tuple(hi[i] for i in xh_indices),
-                self.mem.snapshot_writable() if mem else None)
-
-    def apply_slots(self, data: tuple, gp_indices, xl_indices,
-                    xh_indices) -> None:
-        """Write a :meth:`snapshot_slots` capture back into this state."""
-        gp_vals, lo_vals, hi_vals, mem_snapshot = data
-        gp = self.gp
-        for index, value in zip(gp_indices, gp_vals):
-            gp[index] = value
-        lo = self.xmm_lo
-        for index, value in zip(xl_indices, lo_vals):
-            lo[index] = value
-        hi = self.xmm_hi
-        for index, value in zip(xh_indices, hi_vals):
-            hi[index] = value
-        if mem_snapshot is not None:
-            self.mem.restore_writable(mem_snapshot)
 
     # ------------------------------------------------------------------
     # operand helpers used by the emulator backend

@@ -32,11 +32,16 @@ libimf kernels and IEEE edge values.
 Bound steps read and write ``state.flags`` as the emulator does.  A run
 from slot 0 starts with the all-clear flags the JIT prologue assumes
 because every run gets a freshly reset pooled state, and the pool
-restores the flags on every reset (``TestCase.pooled_state``).
+restores the flags on every reset (``TestCase.pooled_state``).  A
+resumed run starts on a checkpoint's whole state
+(``TestCase.restored_state``), so it reads the flags its prefix left,
+as the uninterrupted run would.
 
 Lane batches.  A chunk of two or more tests runs its suffix once over
 all of its states (:func:`run_lanes`), one lane per state, as the
-interval checker runs boxes over ``TransferPlan.lanes``.  Each XMM low
+interval checker runs boxes over ``TransferPlan.lanes``; its tests
+that miss a checkpoint run their capture segment the same way, one
+batch per capture base.  Each XMM low
 half lives in one place: in the states, or in a column of Python floats
 with one entry per live lane, loaded and flushed with one bulk
 ``struct`` conversion each.  The hot shapes have lane forms beside

@@ -138,6 +138,25 @@ class TestCase:
         self._dirt = writes if writes is not None else "all"
         return pooled
 
+    def restored_state(self, image: tuple) -> MachineState:
+        """This test's reusable machine state, reset in place to
+        ``image`` instead of the pristine values.
+
+        ``image`` is a :meth:`MachineState.snapshot` of this test's
+        pooled state (a prefix checkpoint), so one
+        :meth:`MachineState.restore` brings the state to the image's
+        registers, flags and pages.  The pool is left fully dirty: the
+        next :meth:`pooled_state` call does a full restore.  The same
+        validity rule as :meth:`pooled_state` applies.
+        """
+        pooled = self._pooled
+        if pooled is None:
+            pooled = self._pooled = self.build_state()
+            self._snapshot = pooled.snapshot()
+        pooled.restore(image)
+        self._dirt = "all"
+        return pooled
+
     def value_of(self, loc: LocLike) -> int:
         return self.inputs[_as_loc(loc)]
 

@@ -19,8 +19,7 @@ import pytest
 from repro.kernels.libimf import LIBIMF_KERNELS
 from repro.x86.assembler import assemble
 from repro.x86.checkpoint import (Checkpoint, checkpoint_stride,
-                                  flags_live_in, program_writes,
-                                  union_writes)
+                                  program_writes)
 from repro.x86.jit import compile_cache_stats
 from repro.x86.locations import MemLoc
 from repro.x86.scalar import d2u
@@ -44,9 +43,9 @@ BACKENDS = ("jit", "emulator", "vector")
 # A 12-instruction kernel with register arithmetic, a flags-producing
 # compare + conditional move, and stores/loads through the scratch
 # segment — every state component a checkpoint must carry.  Padded to 16
-# slots so the stride is 4 and edits in the back half resume from
-# boundary 8 or 12 (boundary 4 is unusable: flags are live across the
-# ucomisd/cmovae pair).
+# slots so the stride is 4 and edits resume from boundary 4, 8 or 12
+# (boundary 4 sits between the ucomisd and the cmovae, so a resume there
+# reads the flags from the checkpoint).
 KERNEL = assemble("""
     movq $2.0d, xmm1
     mulsd xmm1, xmm0
@@ -66,7 +65,19 @@ LIVE_OUTS = ("xmm0",)
 
 
 def kernel_tests(count, seed=5):
-    return [base_testcase(seed + i) for i in range(count)]
+    """``base_testcase`` register files and scratch pointer, with the
+    low halves of xmm0-xmm3 drawn as doubles in [-4, 4]: KERNEL's
+    arithmetic then moves its result on every test, so a walk sees a
+    wrong arithmetic step (random 64-bit patterns are mostly huge, NaN
+    or infinite, and absorb one)."""
+    rng = random.Random(seed)
+    tests = []
+    for i in range(count):
+        test = base_testcase(seed + i)
+        for reg in ("xmm0", "xmm1", "xmm2", "xmm3"):
+            test = test.replace(reg, d2u(rng.uniform(-4.0, 4.0)))
+        tests.append(test)
+    return tests
 
 
 def make_pair(target, tests, backend="jit", **cfg):
@@ -122,16 +133,16 @@ def run_steps(slots, state):
 
 def resumed_run(program, boundary, test):
     """Run ``program`` on ``test`` the way edit-aware evaluation does:
-    the prefix as bound steps on the test's pooled state, a checkpoint of
-    the prefix's write set applied after a full pooled reset, then the
-    suffix as bound steps.  Returns ``(state, signal)``."""
+    the prefix as bound steps on the test's pooled state, a whole-state
+    checkpoint restored after a full pooled reset, then the suffix as
+    bound steps.  Returns ``(state, signal)``."""
     state = test.pooled_state()
     signal = run_steps(program.slots[:boundary], state)
     if signal is not None:
         return state, signal
-    cp = Checkpoint.capture(state, program_writes(program, 0, boundary))
-    state = test.pooled_state()
-    cp.apply(state)
+    cp = Checkpoint.capture(state)
+    test.pooled_state()  # back to the test's inputs and clear flags
+    state = test.restored_state(cp.image)
     return state, run_steps(program.slots[boundary:], state)
 
 
@@ -146,35 +157,35 @@ class TestStrideAndBoundaries:
         assert checkpoint_stride(37) == 6
         assert checkpoint_stride(64) == 8
 
-    def test_flags_liveness_brackets_the_consumer(self):
-        program = assemble("""
-            ucomisd xmm1, xmm0
-            cmovae rcx, rax
-            addsd xmm0, xmm0
-        """)
-        # cmovae at 1 reads the flags ucomisd at 0 writes: only a resume
-        # at index 1 would need prefix flag values.
-        assert flags_live_in(program) == (False, True, False, False)
-
-    def test_resume_boundary_steps_below_flags_dependence(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_resume_between_flags_producer_and_consumer(self, backend):
+        # Boundary 4 sits between the ucomisd at 3 and the cmovae at 5:
+        # the suffix reads the flags the prefix wrote, and the resumed
+        # run must take them from the checkpoint.  rcx (the cmovae
+        # source) differs from rax on every test, so a wrong flag moves
+        # the live-out.
         lines = ["addsd xmm0, xmm0"] * 16
         lines[3] = "ucomisd xmm1, xmm0"
         lines[5] = "cmovae rcx, rax"
         program = assemble("\n".join(lines))
         assert checkpoint_stride(16) == 4
-        cost = CostFunction(program, kernel_tests(2), LIVE_OUTS)
-        # Edit at 9: boundary 8 has no live-in flags.
+        tests = kernel_tests(8, seed=3)
+        cost = CostFunction(program, tests, ("xmm0", "rax"), CostConfig(),
+                            backend=backend)
         assert cost._incremental_plan(program, 9).boundary == 8
-        # Edit at 6: raw boundary 4 sits between ucomisd and cmovae,
-        # where flags are live — no usable boundary remains.
-        assert cost._incremental_plan(program, 6).boundary == 0
+        assert cost._incremental_plan(program, 6).boundary == 4
         # Edits at or below index 0 cannot be resumed.
         assert cost._incremental_plan(program, 0).boundary == 0
-
-    def test_union_writes(self):
-        a = ((1,), (0, 2), (0,), False)
-        b = ((1, 3), (2,), (2,), True)
-        assert union_writes(a, b) == ((1, 3), (0, 2), (0, 2), True)
+        # The first proposal captures the boundary-4 checkpoints and runs
+        # its suffix on the live states; the second restores them.
+        first = program.with_slot(6, assemble("mulsd xmm1, xmm0").slots[0])
+        second = program.with_slot(7, assemble("subsd xmm1, xmm0").slots[0])
+        assert cost.cost(first, edit_index=6) == reference_cost(cost, first)
+        assert cost.cost(second, edit_index=7) == reference_cost(cost,
+                                                                 second)
+        assert cost.incremental_hits == 2
+        assert cost.incremental_captures == len(tests)
+        assert table_boundaries(cost) == [[4]] * len(tests)
 
     def test_program_writes_covers_kernel_defs(self):
         gp, xl, xh, mem = program_writes(KERNEL)
@@ -185,22 +196,20 @@ class TestStrideAndBoundaries:
 
 
 class TestSuffixEntryPoints:
-    """A checkpointed bound-step prefix plus a bound-step suffix equals
-    one full run on each backend, at every flags-safe boundary."""
+    """A bound-step prefix, a whole-state checkpoint and a bound-step
+    suffix equal one full run on each backend, at every boundary."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", range(6))
     def test_prefix_plus_suffix_equals_full_run(self, backend, seed):
         program = random_program(seed, 12)
-        flags = flags_live_in(program)
         runner = Runner(LIVE_OUTS, backend=backend)
         prepared = runner.prepare(program)
-        for tc in kernel_tests(3, seed=40 + seed):
+        # Fully random register files: NaN payloads and specials too.
+        for tc in [base_testcase(40 + seed + i) for i in range(3)]:
             full = tc.build_state()
             full_signal = runner.execute_from(prepared, full)
             for boundary in range(1, 12):
-                if flags[boundary]:
-                    continue  # not a resumable split point
                 state, signal = resumed_run(program, boundary, tc)
                 # Straight-line code: a fault in either piece must
                 # reproduce the full run's signal.
@@ -213,6 +222,33 @@ class TestSuffixEntryPoints:
                 assert [img for _seg, img in
                         state.mem.snapshot_writable()] == \
                     [img for _seg, img in full.mem.snapshot_writable()]
+
+    def test_checkpoint_carries_the_flags(self):
+        # A checkpoint is the whole state: restored over a pristine
+        # pooled state, it brings back the flags the prefix set along
+        # with the registers and the scratch page.
+        program = assemble("""
+            movsd xmm0, 8(rbx)
+            ucomisd xmm1, xmm0
+            cmovae rcx, rax
+        """)
+        carry_flags = set()
+        for test in kernel_tests(6, seed=29):
+            state = test.pooled_state()
+            assert run_steps(program.slots, state) is None
+            want = (list(state.gp), list(state.xmm_lo), list(state.xmm_hi),
+                    dict(state.flags), bytes(state.mem.segment(
+                        "scratch").data))
+            carry_flags.add(state.flags["cf"])
+            cp = Checkpoint.capture(state)
+            fresh = test.pooled_state()
+            assert fresh.flags == dict.fromkeys(fresh.flags, 0)
+            got = test.restored_state(cp.image)
+            assert (got.gp, got.xmm_lo, got.xmm_hi, got.flags,
+                    bytes(got.mem.segment("scratch").data)) == want
+        # ucomisd of two doubles in [-4, 4] sets CF on some tests and
+        # clears it on others: both kinds were restored.
+        assert carry_flags == {0, 1}
 
 
 def walk_differential(backend, seed, steps=120, accept_every=7):
@@ -376,7 +412,6 @@ class TestCheckpointLifecycle:
         divergent = KERNEL.with_slot(0, assemble("movq $3.0d, xmm1").slots[0])
         inc.set_current(divergent)
         assert table_boundaries(inc) == [[]] * len(tests)
-        assert inc._prefix_writes == {}
         # A second set_current with the same program is a no-op.
         inc.set_current(divergent)
         assert table_boundaries(inc) == [[]] * len(tests)
@@ -391,14 +426,31 @@ class TestCheckpointLifecycle:
         # keep every boundary-8 checkpoint warm.
         inc.set_current(proposal)
         assert [table[8] for table in inc._checkpoints] == warm
-        assert list(inc._prefix_writes) == [8]
+        assert table_boundaries(inc) == [[8]] * len(tests)
+        # Entries up to the first slot where the new anchor differs stay,
+        # those above it go: an edit at 13 leaves boundaries 4, 8 and 12
+        # warm, then an anchor that differs at 11 keeps 4 and 8.
+        late = proposal.with_slot(13, assemble("addsd xmm1, xmm0").slots[0])
+        inc.cost(late, edit_index=13)
+        inc.cost(proposal.with_slot(5, assemble("mulsd xmm1, xmm0").slots[0]),
+                 edit_index=5)
+        assert table_boundaries(inc) == [[4, 8, 12]] * len(tests)
+        inc.set_current(late.with_slot(
+            11, assemble("mulsd xmm3, xmm2").slots[0]))
+        assert table_boundaries(inc) == [[4, 8]] * len(tests)
+        assert [table[8] for table in inc._checkpoints] == warm
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_walk_without_set_current_matches_full_evaluation(self, backend):
         # ``current`` moves but set_current is never called: every
         # proposal whose prefix leaves the anchor's re-anchors the table.
+        # The walk keeps every proposal, and its first one replaces the
+        # addsd at slot 11, after which xmm0 no longer depends on the
+        # arithmetic before it; xmm2, the subsd's destination, is a
+        # live-out too, so a wrong step there still moves the cost.
         tests = kernel_tests(8, seed=9)
-        inc, _ = make_pair(KERNEL, tests, backend=backend)
+        inc = CostFunction(KERNEL, tests, ("xmm0", "xmm2"), CostConfig(),
+                           backend=backend)
         transforms = Transforms(KERNEL)
         rng = random.Random(9)
         current = KERNEL
@@ -429,10 +481,11 @@ class TestCheckpointLifecycle:
         assert inc.incremental_captures == captures + len(tests)
         assert inc._anchor == rewrite.slots
 
-    def test_entries_sit_at_flags_safe_stride_multiples(self):
-        # Each cost call adds entries only at its plan's boundary, a
-        # flags-safe stride multiple below n of the proposal that needs
-        # it, so a test holds at most one checkpoint per stride multiple.
+    def test_entries_sit_at_stride_multiples_at_or_below_the_edit(self):
+        # Each cost call adds entries only at its plan's boundary, the
+        # largest stride multiple at or below the edit of the proposal
+        # that needs it (below n), so a test holds at most one
+        # checkpoint per stride multiple.
         tests = kernel_tests(8, seed=19)
         inc, _ = make_pair(KERNEL, tests)
         transforms = Transforms(KERNEL)
@@ -449,11 +502,10 @@ class TestCheckpointLifecycle:
             before = [set(table) for table in inc._checkpoints]
             assert inc.cost(proposal, edit_index=span) == \
                 reference_cost(inc, proposal)
-            flags = flags_live_in(proposal)
             for old, table in zip(before, inc._checkpoints):
                 assert set(table) <= multiples
                 for boundary in set(table) - old:
-                    assert boundary <= span and not flags[boundary]
+                    assert boundary == min(span, n - 1) // stride * stride
             if step % 3 == 0:
                 current = proposal
                 inc.set_current(current)
@@ -527,8 +579,14 @@ class TestCompileFreeEvaluation:
         assert inc.incremental_fallbacks == 1
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_edit_aware_walk_compiles_nothing(self, backend):
-        spec = LIBIMF_KERNELS["sin"]()
+    @pytest.mark.parametrize("kernel, stats", [
+        ("sin", {"hits": 144, "fallbacks": 41, "captures": 1152}),
+        # log's cmov reads the flags its compare wrote: its walk resumes
+        # between the two too.
+        ("log", {"hits": 159, "fallbacks": 32, "captures": 1440}),
+    ])
+    def test_edit_aware_walk_compiles_nothing(self, backend, kernel, stats):
+        spec = LIBIMF_KERNELS[kernel]()
         tests = spec.testcases(random.Random(17), 16)
         inc = CostFunction(spec.program, tests, spec.live_outs, CostConfig(),
                            backend=backend)
@@ -565,8 +623,7 @@ class TestCompileFreeEvaluation:
         # captured on demand) and boundary 0.  The counts are pinned: the
         # table captures exactly once per test, boundary and anchor
         # prefix, the same on every backend.
-        assert inc.incremental_stats() == {
-            "hits": 144, "fallbacks": 41, "captures": 1152}
+        assert inc.incremental_stats() == stats
 
 
 class TestAdaptiveOrderingStability:
@@ -808,7 +865,7 @@ class TestVectorCheckpointComposition:
 
     def test_vector_incremental_cost_matches_scalar_backends(self):
         # The whole edit-aware path (checkpoint capture, suffix resume,
-        # promise-scoped pooled restore) through CostFunction must give
+        # whole-state restore) through CostFunction must give
         # the oracle's CostResults, the same on all three backends.
         tests = kernel_tests(8, seed=67)
         transforms = Transforms(KERNEL)
