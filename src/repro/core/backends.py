@@ -7,8 +7,9 @@ error) happens in exactly one place.
 
 A backend is either *compiled* (``prepare`` translates the program once
 into an object exposing the ``CompiledProgram`` execution surface —
-``writes``, ``run``, ``run_batch``) or *interpreted* (``prepare`` is the
-identity and execution goes through an
+``writes_mem``, the write-back ``run``, and ``run_live_outs`` or, on a
+lane-array backend, ``run_batch_columns``) or *interpreted* (``prepare``
+is the identity and execution goes through an
 :class:`~repro.x86.emulator.Emulator`).  The backend decides how a
 search target's outputs, validation, exhaustive checking and catalog
 measurement run; :class:`repro.core.cost.CostFunction` runs every
@@ -31,9 +32,10 @@ class Backend:
     """A named execution strategy.
 
     ``compiled`` tells the Runner which dispatch shape to use: compiled
-    backends execute through the prepared object itself and report a
-    ``writes`` promise for pooled-state reuse; interpreted backends keep
-    the program as-is and run it through an Emulator.  ``lane_arrays``
+    backends execute through the prepared object itself, which hands
+    the live-outs back and writes no register into the state (only
+    memory stores land there); interpreted backends keep the program
+    as-is and run it in place through an Emulator.  ``lane_arrays``
     marks a backend whose prepared programs execute a batch as lane
     arrays (``run_batch_columns``): the Runner then reads live-outs as
     rows and runs input grids from one tiled template.

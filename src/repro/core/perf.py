@@ -57,7 +57,7 @@ def measure_ns_per_test(program: Program, tests, live_outs,
         raise ValueError("latency probe needs at least one test case")
     runner = Runner(live_outs, backend=backend)
     prepared = runner.prepare(program)
-    # Warm-up: fills the caches and, on jit, compiles the batched entry
+    # Warm-up: fills the caches and, on jit, compiles the live-out entry
     # point the repeats time.
     runner.run_batch(prepared, tests)
     best = float("inf")

@@ -5,8 +5,9 @@ A :class:`Runner` binds the live-out locations and a backend choice
 (program, test case) pairs into output bit patterns or a signal, and
 grids of inputs into per-lane signals and live-out bit columns
 (:meth:`Runner.run_columns`).  Compiled backends (jit, vector) execute
-through the prepared object and its ``writes`` promise; interpreted ones
-go through the Emulator.
+through the prepared object and hand the live-outs back without writing
+registers into the machine state; interpreted ones go through the
+Emulator, in place.
 """
 
 from __future__ import annotations
@@ -19,12 +20,18 @@ from repro.x86.emulator import Emulator
 from repro.x86.locations import Loc, MemLoc, make_reader, parse_loc
 from repro.x86.program import Program
 from repro.x86.signals import Signal
+from repro.x86.state import MachineState
 from repro.x86.testcase import TestCase
-from repro.x86.vector import make_column_readers, pack_lanes, pack_states
+from repro.x86.vector import (live_out_registers, make_column_readers,
+                              pack_lanes, pack_states)
 
 from repro.core.backends import resolve_backend
 
 Location = Union[Loc, MemLoc]
+
+# What :meth:`Runner.execute_batch_from` can change in a caller-owned
+# state, least first (see :meth:`Runner.dirties`).
+DIRTIES_NOTHING, DIRTIES_MEMORY, DIRTIES_ALL = 0, 1, 2
 
 
 def resolve_locations(locs: Iterable[Union[str, Location]]) -> Tuple[Location, ...]:
@@ -51,11 +58,11 @@ class Runner:
         # pack images rather than pooled scalar states.
         self._column_readers = (make_column_readers(self.live_outs)
                                 if self._backend.lane_arrays else None)
+        self._live_regs = live_out_registers(self.live_outs)
         self._pack_cache = None
         # Precompiled per-location readers: location resolution happens
         # here, once, instead of on every execution's read-back.
         self._readers = tuple(make_reader(loc) for loc in self.live_outs)
-        self._loc_readers = tuple(zip(self.live_outs, self._readers))
         # Most kernels have exactly one live-out; reading it without the
         # tuple(generator) machinery is measurably cheaper per test.
         self._single_reader = (self._readers[0]
@@ -68,35 +75,18 @@ class Runner:
     def run(self, prepared, test: TestCase
             ) -> Tuple[Optional[Dict[Location, int]], Optional[Signal]]:
         """Execute and return ({location: bits}, None) or (None, signal)."""
-        if self._compiled:
-            state = test.pooled_state(prepared.writes)
-            outcome = prepared.run(state)
-        else:
-            state = test.pooled_state()
-            outcome = self._emulator.run(prepared, state)
-        if not outcome.ok:
-            return None, outcome.signal
-        return {loc: read(state) for loc, read in self._loc_readers}, None
+        state = test.pooled_state(self._promise(prepared))
+        values, signal = self._execute(prepared, [state])[0]
+        if signal is not None:
+            return None, signal
+        return dict(zip(self.live_outs, values)), None
 
     def run_values(self, prepared, test: TestCase
                    ) -> Tuple[Optional[Tuple[int, ...]], Optional[Signal]]:
-        """Like :meth:`run` but returns a live-out bits tuple, not a dict.
-
-        This is the hot-path variant: no dict is built, and the test
-        case's pooled state is reused in place.
-        """
-        if self._compiled:
-            state = test.pooled_state(prepared.writes)
-            outcome = prepared.run(state)
-        else:
-            state = test.pooled_state()
-            outcome = self._emulator.run(prepared, state)
-        if not outcome.ok:
-            return None, outcome.signal
-        read_one = self._single_reader
-        if read_one is not None:
-            return (read_one(state),), None
-        return tuple(read(state) for read in self._readers), None
+        """Like :meth:`run` but returns a live-out bits tuple, not a dict;
+        the test case's pooled state is reused in place."""
+        state = test.pooled_state(self._promise(prepared))
+        return self._execute(prepared, [state])[0]
 
     def run_batch(self, prepared, tests: Sequence[TestCase]
                   ) -> List[Tuple[Optional[Tuple[int, ...]],
@@ -106,13 +96,28 @@ class Runner:
         On compiled backends the whole test set executes inside one
         prepared-program call (one generated function for the JIT, one
         vectorized pass for the vector backend); the emulator keeps
-        per-test dispatch but shares the pooled-state reuse.  Returns one ``(values, signal)``
-        pair per test, where ``values`` is a live-out bits tuple (None
-        when the execution signalled).
+        per-test dispatch but shares the pooled-state reuse.  Returns
+        one ``(values, signal)`` pair per test, where ``values`` is a
+        live-out bits tuple (None when the execution signalled).
+
+        On a lane-array backend, programs that cannot store to memory
+        run on the tests' shared pristine templates — no pooled-state
+        restore at all, and the full-register pack image is cached
+        across batches, so repeated ``run_batch`` calls on one Runner
+        over the same tests pack them once.  Every other batch runs on
+        the tests' pooled states.
         """
-        if self._column_readers is not None:
-            return self._run_batch_columns(prepared, tests)
-        writes = prepared.writes if self._compiled else None
+        if self._column_readers is not None and not prepared.writes_mem:
+            states, packed = self._packed_templates(tests)
+            signals, ctx = prepared.run_batch_columns(states, packed,
+                                                      self._live_regs)
+            return self._column_values(signals, ctx, states)
+        return self._execute(prepared, self._pooled_states(prepared, tests))
+
+    def _pooled_states(self, prepared, tests: Sequence[TestCase]
+                       ) -> List[MachineState]:
+        """Each test's pooled state, reset for a run of ``prepared``."""
+        promise = self._promise(prepared)
         states = []
         seen = set()
         for test in tests:
@@ -124,52 +129,14 @@ class Runner:
                 states.append(test.build_state())
             else:
                 seen.add(ident)
-                states.append(test.pooled_state(writes))
-        if self._compiled:
-            signals = prepared.run_batch(states)
-        else:
-            signals = self._emulator.run_batch(prepared, states)
-        read_one = self._single_reader
-        if read_one is not None:
-            return [(None, signal) if signal is not None
-                    else ((read_one(state),), None)
-                    for state, signal in zip(states, signals)]
-        readers = self._readers
-        return [(None, signal) if signal is not None
-                else (tuple(read(state) for read in readers), None)
-                for state, signal in zip(states, signals)]
+                states.append(test.pooled_state(promise))
+        return states
 
-    def _run_batch_columns(self, prepared, tests: Sequence[TestCase]
-                           ) -> List[Tuple[Optional[Tuple[int, ...]],
-                                           Optional[Signal]]]:
-        """Vector-backend batch: execute in lane arrays, read live-outs
-        at array level, never write register state back.
-
-        Programs that cannot store to memory run on the tests' shared
-        pristine templates — no pooled-state restore at all, and the
-        full-register pack image is cached across batches, so repeated
-        ``run_batch`` calls on one Runner over the same tests pack them
-        once.
-        Memory-writing programs mutate per-lane sandbox segments in
-        place, so they take each test's pooled state with a
-        registers-clean promise; the register files still never leave
-        the lane arrays.
-        """
-        if prepared.writes[3]:
-            promise = ((), (), (), True)
-            states = []
-            seen = set()
-            for test in tests:
-                ident = id(test)
-                if ident in seen:
-                    states.append(test.build_state())
-                else:
-                    seen.add(ident)
-                    states.append(test.pooled_state(promise))
-            packed = None
-        else:
-            states, packed = self._packed_templates(tests)
-        signals, ctx = prepared.run_batch_columns(states, packed)
+    def _column_values(self, signals, ctx, states
+                       ) -> List[Tuple[Optional[Tuple[int, ...]],
+                                       Optional[Signal]]]:
+        """One ``(values, signal)`` pair per lane of a finished lane
+        context, its live-outs read as rows."""
         if ctx is None:
             return []
         readers = self._column_readers
@@ -210,13 +177,14 @@ class Runner:
         values = dict(base.inputs)
         values.update(inputs)
         template = base.template_state()
-        if (self._column_readers is not None and not prepared.writes[3]
+        if (self._column_readers is not None and not prepared.writes_mem
                 and not any(isinstance(loc, MemLoc) for loc in inputs)):
             packed = pack_lanes(template, [
                 (loc, bits) for loc, bits in values.items()
                 if isinstance(loc, Loc)], n)
             states = [template] * n
-            signals, ctx = prepared.run_batch_columns(states, packed)
+            signals, ctx = prepared.run_batch_columns(states, packed,
+                                                      self._live_regs)
             return signals, tuple(read(ctx, states)
                                   for read in self._column_readers)
         rows = {loc: column.tolist() for loc, column in inputs.items()}
@@ -226,10 +194,13 @@ class Runner:
             for loc, bits in values.items():
                 loc.write(state, rows[loc][j] if loc in rows else bits)
             states.append(state)
-        signals = self.execute_batch_from(prepared, states)
-        return signals, tuple(
-            np.array([read(state) for state in states], dtype=np.uint64)
-            for read in self._readers)
+        results = self._execute(prepared, states)
+        # A signalled lane's undefined live-outs read as zeros.
+        zeros = (0,) * len(self.live_outs)
+        outs = [zeros if out is None else out for out, _ in results]
+        return [signal for _, signal in results], tuple(
+            np.array([out[k] for out in outs], dtype=np.uint64)
+            for k in range(len(self.live_outs)))
 
     def _packed_templates(self, tests: Sequence[TestCase]):
         """(template states, owned pack image) for a test sequence.
@@ -281,18 +252,62 @@ class Runner:
     # Both names stay because the end-to-end benchmark's traced runs wrap them.
     def execute_from(self, prepared, state) -> Optional[Signal]:
         """Run a prepared program on a caller-owned state; returns the
-        signal (None = clean)."""
+        signal (None = clean).  Every register the program writes is
+        written to ``state``."""
         if self._compiled:
             return prepared.run(state).signal
         return self._emulator.run(prepared, state).signal
 
     def execute_batch_from(self, prepared, states
-                           ) -> List[Optional[Signal]]:
-        """Batched :meth:`execute_from`: one signal per caller-owned
-        state (the validator's block evaluation runs through it)."""
+                           ) -> List[Tuple[Optional[Tuple[int, ...]],
+                                           Optional[Signal]]]:
+        """Run a prepared program on caller-owned states and return
+        their live-outs: one ``(values, signal)`` pair per state, as
+        :meth:`run_batch` returns them.  The validator's block
+        evaluation runs through it; :meth:`dirties` says what a run
+        changes in the states."""
+        return self._execute(prepared, states)
+
+    def _execute(self, prepared, states
+                 ) -> List[Tuple[Optional[Tuple[int, ...]],
+                                 Optional[Signal]]]:
+        """Every live-out read of this Runner: run ``prepared`` on
+        ``states`` and return their ``(values, signal)`` pairs.
+
+        The JIT runs its live-out entry point
+        (``CompiledProgram.run_live_outs``) and the vector backend its
+        lane arrays with the live-outs read as rows, so on both the
+        register files and flags stay as they were and only memory
+        stores change a state; the emulator runs each state in place
+        and reads it back.  The public run methods call this rather
+        than each other, so a traced run of one counts once.
+        """
+        if self._column_readers is not None:
+            signals, ctx = prepared.run_batch_columns(states, None,
+                                                      self._live_regs)
+            return self._column_values(signals, ctx, states)
         if self._compiled:
-            return prepared.run_batch(states)
-        return self._emulator.run_batch(prepared, states)
+            return prepared.run_live_outs(states, self.live_outs)
+        signals = self._emulator.run_batch(prepared, states)
+        values_of = self.values_of
+        return [(None, signal) if signal is not None
+                else (values_of(state), None)
+                for state, signal in zip(states, signals)]
+
+    def dirties(self, prepared) -> int:
+        """What a run of ``prepared`` through :meth:`execute_batch_from`
+        can change in a state: ``DIRTIES_MEMORY`` for a program that
+        stores, on the compiled backends, which keep register files and
+        flags out of the states; ``DIRTIES_NOTHING`` for the other
+        programs there; ``DIRTIES_ALL`` on the emulator, which runs in
+        place."""
+        if not self._compiled:
+            return DIRTIES_ALL
+        return DIRTIES_MEMORY if prepared.writes_mem else DIRTIES_NOTHING
+
+    def _promise(self, prepared) -> Optional[bool]:
+        """:meth:`dirties` as a ``TestCase.pooled_state`` promise."""
+        return prepared.writes_mem if self._compiled else None
 
     def run_program(self, program: Program, test: TestCase):
         """One-shot convenience wrapper around prepare + run."""

@@ -19,11 +19,9 @@ import time
 from dataclasses import dataclass
 from typing import List
 
-from repro.x86.emulator import Emulator
-from repro.x86.jit import compile_program
-
 from repro.core import CostConfig, SearchConfig, StokeSpec
 from repro.core.parallel import resolve_jobs, run_seeded_chains
+from repro.core.runner import Runner
 from repro.harness.report import format_table
 from repro.kernels.libimf import LIBIMF_KERNELS
 
@@ -54,36 +52,37 @@ def measure_kernel(name: str, tests: int = 300, seed: int = 0,
                    repeats: int = 3) -> ThroughputResult:
     """Dispatch ``tests`` test cases through both backends.
 
-    All timed loops reset each test case's pooled machine state in place
-    (``pooled_state``) rather than copying a template, matching how the
-    search's cost function dispatches tests.
+    Every timed loop is an evaluator path of :class:`Runner`, live-out
+    read included, on each test case's pooled machine state: per-test
+    ``run_values`` on the emulator and the JIT, and one ``run_batch``
+    call over the whole test set on the JIT.
     """
     spec = LIBIMF_KERNELS[name]()
     rng = random.Random(seed)
     cases = spec.testcases(rng, tests)
 
-    emulator = Emulator()
+    emulator = Runner(spec.live_outs, backend="emulator")
     best_emu = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
         for tc in cases:
-            emulator.run(spec.program, tc.pooled_state())
+            emulator.run_values(spec.program, tc)
         best_emu = min(best_emu, time.perf_counter() - start)
 
-    compiled = compile_program(spec.program)
+    runner = Runner(spec.live_outs, backend="jit")
+    compiled = runner.prepare(spec.program)
+    runner.run_batch(compiled, cases)  # keep the live-out compile untimed
     best_jit = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
         for tc in cases:
-            compiled.run(tc.pooled_state(compiled.writes))
+            runner.run_values(compiled, tc)
         best_jit = min(best_jit, time.perf_counter() - start)
 
-    compiled.specialize_batch()
     best_batched = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        compiled.run_batch(
-            [tc.pooled_state(compiled.writes) for tc in cases])
+        runner.run_batch(compiled, cases)
         best_batched = min(best_batched, time.perf_counter() - start)
 
     return ThroughputResult(

@@ -195,12 +195,26 @@ class _Handler(BaseHTTPRequestHandler):
         if self.server.verbose:  # type: ignore[attr-defined]
             BaseHTTPRequestHandler.log_message(self, format, *args)
 
+    def handle_one_request(self) -> None:
+        # Between requests the connection waits for a request line, and
+        # stop() ends that wait (see _AcceptingServer.shutdown).
+        if not self.server.wait_for_request(  # type: ignore[attr-defined]
+                self.connection):
+            self.close_connection = True
+            return
+        super().handle_one_request()
+
+    def parse_request(self) -> bool:
+        self.server.request_started(  # type: ignore[attr-defined]
+            self.connection)
+        return super().parse_request()
+
     def _dispatch(self, method: str) -> None:
         path = self.path.split("?", 1)[0]
         try:
             if self.server.closing:  # type: ignore[attr-defined]
-                # A connection kept alive across stop(): refuse its next
-                # request and hang up, so that its thread ends too.
+                # A request line that arrived as stop() ran: refuse the
+                # request and hang up, so that the thread ends too.
                 self._send_json({"error": "the server is shutting down"},
                                 status=503, close=True)
                 return
@@ -671,8 +685,11 @@ class _AcceptingServer(HTTPServer):
 
     :meth:`shutdown` marks the server closing and shuts the listening
     socket down, which on Linux wakes every blocked ``accept()`` with
-    ``EINVAL``; it returns once the waiting threads have ended.  Threads
-    serving a connection end after it.
+    ``EINVAL``; it returns once the waiting threads have ended.  It also
+    shuts down the read side of every kept-alive connection that waits
+    for its next request line, so that the wait ends with end-of-file
+    and the connection's thread hangs up and ends.  A request already
+    in flight completes, and its thread ends after it.
     """
 
     def __init__(self, address, handler) -> None:
@@ -680,6 +697,8 @@ class _AcceptingServer(HTTPServer):
         self._lock = threading.Lock()
         # Threads not serving a connection: in accept(), or about to be.
         self._idle: Set[threading.Thread] = set()
+        # Connections waiting for their next request line.
+        self._waiting: Set[socket.socket] = set()
         self._closed = threading.Event()
 
     @property
@@ -702,12 +721,32 @@ class _AcceptingServer(HTTPServer):
                 return
             self._closed.set()
             idle = list(self._idle)
+            waiting = list(self._waiting)
         try:
             self.socket.shutdown(socket.SHUT_RDWR)
         except OSError:  # platforms that refuse it on a listening socket
             pass
+        for connection in waiting:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:  # the client hung up first
+                pass
         for thread in idle:
             thread.join(timeout=1.0)
+
+    def wait_for_request(self, connection: socket.socket) -> bool:
+        """Mark ``connection`` as waiting for its next request line;
+        False once the server is closing (hang up instead)."""
+        with self._lock:
+            if self._closed.is_set():
+                return False
+            self._waiting.add(connection)
+            return True
+
+    def request_started(self, connection: socket.socket) -> None:
+        """``connection``'s request line has arrived."""
+        with self._lock:
+            self._waiting.discard(connection)
 
     def _start_thread(self) -> None:
         # The caller holds self._lock.
@@ -738,6 +777,7 @@ class _AcceptingServer(HTTPServer):
                 # the hang-up to connect again finds this thread, and
                 # does not make a third one start.
                 with self._lock:
+                    self._waiting.discard(request)
                     self._idle.add(me)
                 self.shutdown_request(request)
 
@@ -781,9 +821,11 @@ class ApiServer:
 
     def stop(self) -> None:
         """Stop accepting, then close the socket and the store.  Returns
-        without waiting for open connections: their next request
-        answers 503.  Works on a server that never started; a second
-        call does nothing."""
+        without waiting for open connections: a kept-alive connection
+        waiting for its next request is hung up, and a request in
+        flight completes (one that had not reached its handler answers
+        503).  Works on a server that never started; a second call does
+        nothing."""
         self._httpd.shutdown()
         self._httpd.server_close()
         # Under the lock no handler is mid-transaction; handlers that

@@ -24,9 +24,9 @@ from repro.x86.program import Program
 from repro.x86.state import MachineState
 from repro.x86.testcase import TestCase
 
-from repro.core.backends import resolve_backend
 from repro.core.cost import ulp_distance, ulp_widths
-from repro.core.runner import Location, Runner
+from repro.core.runner import (DIRTIES_ALL, DIRTIES_MEMORY, DIRTIES_NOTHING,
+                               Location, Runner)
 from repro.validation.geweke import geweke_z
 from repro.validation.proposals import TestCaseProposer
 from repro.validation.strategies import ValidationMcmc, ValidationStrategy
@@ -167,103 +167,68 @@ class MultiChainResult:
 
 
 class _ProposalStates:
-    """The validator's machine states: per slot of an evaluation block, a
-    target state and a rewrite state.
+    """The validator's machine states: one per slot of an evaluation
+    block, shared by the target and the rewrite.
 
     Validation proposals are throwaway test cases: each is executed twice
     (target, rewrite) and discarded, so giving each its own machine state
     (:meth:`TestCase.pooled_state` builds a template, a copy and a
     snapshot per test case) would cost about half the validator's
-    runtime.  The pool instead keeps two pristine states per block slot,
-    built from a test case's segments with no live-ins applied, plus
-    their snapshots, so both programs of a proposal run side by side
-    and neither has to be reset between the two runs.  Each use resets
-    only what a state's program can have dirtied (its write set on
-    compiled backends, which never write the status flags; a full
-    restore on the emulator), then writes the test's live-in values
-    into both states in the same pass.
-
-    The write-set reset copies each register file the write set names
-    back from the snapshot whole (one slice assignment is cheaper than
-    a loop over its indices).  That restores a superset of the write
-    set: the other slots hold snapshot values or the previous test's
-    live-ins, which this test's live-ins overwrite.
+    runtime.  The pool instead keeps one pristine state per block slot,
+    built from a test case's segments with no live-ins applied, plus its
+    snapshot.  :meth:`Runner.execute_batch_from` returns the live-outs
+    rather than leaving them in the state, so each use resets only what
+    a run can have changed (``dirt``, from :meth:`Runner.dirties`):
+    nothing for a register-only pair on the compiled backends, whose
+    runs keep register files and flags out of the states, so such a
+    state only has its live-ins written; the writable pages when a
+    program stores; a full restore on the emulator.  Then it writes the
+    test's live-in values.
 
     A slot is rebuilt when its test's segments are not the ones it was
     built from, and restored in full when its test writes other live-in
-    locations than the slot's previous test did (the write-set reset
-    would leave the old ones in place).  A chain's proposals share their
-    base test case's segments and live-in locations, so neither happens
-    on the hot path.
+    locations than the slot's previous test did (the old ones would
+    stay in place).  A chain's proposals share their base test case's
+    segments and live-in locations, so neither happens on the hot path.
     """
 
-    __slots__ = ("_writes", "_slots")
+    __slots__ = ("_dirt", "_slots")
 
-    def __init__(self, writes: Optional[tuple]):
-        # (target write set, rewrite write set), or None => full restores.
-        self._writes = writes
-        # Per slot: [segments, live-in locations last written, target
-        # state, rewrite state, target snapshot, rewrite snapshot,
-        # write-set reset].  Snapshots are per state: a memory snapshot
-        # restores into the segment objects it was captured from.
+    def __init__(self, dirt: int):
+        self._dirt = dirt
+        # Per slot: [segments, live-in locations last written, state,
+        # snapshot].  A memory snapshot restores into the segment
+        # objects it was captured from.
         self._slots: List[list] = []
 
-    def _slot(self, segments) -> list:
-        """A slot of two states built from ``segments``.  Its write-set
-        reset is the ``(register file, snapshot image)`` pairs and the
-        ``(memory, snapshot image)`` pairs the write sets name."""
-        states = [MachineState(Memory(
-            seg.copy() if seg.writable else seg for seg in segments))
-            for _ in range(2)]
-        snapshots = [state.snapshot() for state in states]
-        reset = None
-        if self._writes is not None:
-            copies, memories = [], []
-            for state, snapshot, writes in zip(states, snapshots,
-                                               self._writes):
-                for indices, registers, image in zip(
-                        writes, (state.gp, state.xmm_lo, state.xmm_hi),
-                        snapshot):
-                    if indices:
-                        copies.append((registers, image))
-                if writes[3]:
-                    memories.append((state.mem, snapshot[4]))
-            reset = (tuple(copies), tuple(memories))
-        return [segments, None, *states, *snapshots, reset]
-
-    def states_for(self, tests: Sequence[TestCase]
-                   ) -> Tuple[List[MachineState], List[MachineState]]:
-        """Per test, a reset target state and a reset rewrite state, both
-        holding its live-ins: two lists aligned with ``tests``.  Valid
-        until the next ``states_for`` call."""
+    def states_for(self, tests: Sequence[TestCase]) -> List[MachineState]:
+        """Per test, a reset state holding its live-ins, aligned with
+        ``tests``.  Valid until the next ``states_for`` call."""
         slots = self._slots
-        targets, rewrites = [], []
+        dirt = self._dirt
+        states = []
         for index, test in enumerate(tests):
             if index == len(slots):
                 slots.append([None])
             slot = slots[index]
             segments = test.segments
             if segments is not slot[0]:
-                slot = slots[index] = self._slot(segments)
+                state = MachineState(Memory(
+                    seg.copy() if seg.writable else seg for seg in segments))
+                slot = slots[index] = [segments, None, state,
+                                       state.snapshot()]
             inputs = test.inputs
             locations = tuple(inputs)
-            _, written, target, rewrite, t_snap, r_snap, reset = slot
-            if reset is None or locations != written:
-                target.restore(t_snap)
-                rewrite.restore(r_snap)
+            _, written, state, snapshot = slot
+            if dirt == DIRTIES_ALL or locations != written:
+                state.restore(snapshot)
                 slot[1] = locations
-            else:
-                copies, memories = reset
-                for registers, image in copies:
-                    registers[:] = image
-                for memory, image in memories:
-                    memory.restore_writable(image)
+            elif dirt == DIRTIES_MEMORY:
+                state.mem.restore_writable(snapshot[4])
             for loc, bits in inputs.items():
-                loc.write(target, bits)
-                loc.write(rewrite, bits)
-            targets.append(target)
-            rewrites.append(rewrite)
-        return targets, rewrites
+                loc.write(state, bits)
+            states.append(state)
+        return states
 
 
 class Validator:
@@ -278,15 +243,18 @@ class Validator:
         base_testcase_factory: Callable[[], TestCase],
         backend: str = "jit",
     ):
-        self.runner = Runner(live_outs, backend=backend)
-        self._target = self.runner.prepare(target)
-        self._rewrite = self.runner.prepare(rewrite)
+        runner = self.runner = Runner(live_outs, backend=backend)
+        self._target = runner.prepare(target)
+        self._rewrite = runner.prepare(rewrite)
         self.ranges = ranges
         self.base_testcase_factory = base_testcase_factory
+        target_dirt = runner.dirties(self._target)
         self._pool = _ProposalStates(
-            (self._target.writes, self._rewrite.writes)
-            if resolve_backend(self.runner.backend).compiled else None)
-        self._widths = ulp_widths(self.runner.live_outs)
+            max(target_dirt, runner.dirties(self._rewrite)))
+        # The rewrite needs its states reset again after the target's
+        # run only if that run can have changed them.
+        self._reset_between = target_dirt != DIRTIES_NOTHING
+        self._widths = ulp_widths(runner.live_outs)
 
     def err(self, test: TestCase) -> float:
         """Equation 13 on one test case: a block of one."""
@@ -299,22 +267,27 @@ class Validator:
         This is the validator's one evaluator and its innermost loop.
         Each program runs on the whole block in one batched call (one
         compiled function on the JIT, one vectorized pass on the vector
-        backend, per-state dispatch on the emulator) over its side of
-        the proposal-state pool, so no test case builds a machine state
-        of its own.  One loop then reads both programs' live-outs and
-        sums their :func:`~repro.core.cost.ulp_distance`: the ordered-key
-        ULP distance of an FP location, the Hamming distance of an
-        integer one.
+        backend, per-state dispatch on the emulator) over the
+        proposal-state pool, so no test case builds a machine state of
+        its own; the call returns the live-outs
+        (:meth:`Runner.execute_batch_from`).  The target and the rewrite
+        run on the same states, which are reset again between the two
+        runs only when the target's run can have changed them.  One loop
+        then sums both programs' live-outs'
+        :func:`~repro.core.cost.ulp_distance`: the ordered-key ULP
+        distance of an FP location, the Hamming distance of an integer
+        one.
         """
         runner = self.runner
-        targets, rewrites = self._pool.states_for(tests)
-        t_signals = runner.execute_batch_from(self._target, targets)
-        r_signals = runner.execute_batch_from(self._rewrite, rewrites)
-        values_of = runner.values_of
+        pool = self._pool
+        states = pool.states_for(tests)
+        targets = runner.execute_batch_from(self._target, states)
+        if self._reset_between:
+            states = pool.states_for(tests)
+        rewrites = runner.execute_batch_from(self._rewrite, states)
         widths = self._widths
         errs = []
-        for target, rewrite, t_sig, r_sig in zip(targets, rewrites,
-                                                 t_signals, r_signals):
+        for (want, t_sig), (got, r_sig) in zip(targets, rewrites):
             if t_sig is not None:
                 # The target itself traps: divergent only if the rewrite
                 # behaves differently.
@@ -323,9 +296,8 @@ class Validator:
                 errs.append(SIGNAL_ERR)
             else:
                 total = 0.0
-                for width, got, want in zip(widths, values_of(rewrite),
-                                            values_of(target)):
-                    total += ulp_distance(width, got, want)
+                for width, got_bits, want_bits in zip(widths, got, want):
+                    total += ulp_distance(width, got_bits, want_bits)
                 errs.append(total)
         return errs
 

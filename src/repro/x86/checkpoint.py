@@ -19,7 +19,7 @@ bound steps (:mod:`repro.x86.stepper`) on every backend:
   itself signals on that test.  A resumed run restores the image and so
   reads the prefix's flags, as the uninterrupted run would.
 * :func:`program_writes` — the conservative write set of a program,
-  which the vector backend reports as a prepared program's ``writes``.
+  which the vector backend's write-back ``run`` scatters.
 """
 
 from __future__ import annotations
@@ -52,10 +52,10 @@ def checkpoint_stride(n_slots: int) -> int:
 def program_writes(program: Program) -> tuple:
     """Conservative ``(gp, xmm_lo, xmm_hi, mem)`` write set of a program.
 
-    The JIT reports exact write sets from codegen; this liveness-based
-    over-approximation (XMM defs count both halves) is what
-    ``VectorizedProgram.writes`` reports for the vector backend, where
-    any superset is safe for a pooled-state promise.
+    A liveness-based over-approximation (XMM defs count both halves):
+    ``VectorizedProgram.run`` scatters these rows back into the state,
+    where any superset is safe, and its memory flag is the program's
+    ``writes_mem``.
     """
     gp, xmm = set(), set()
     mem = False

@@ -29,6 +29,10 @@ class Instruction:
             raise ValueError(
                 f"invalid operands for {self.opcode}: {rendered or '(none)'}"
             )
+        # Whether this is the UNUSED token: a plain attribute, not a
+        # property, because the step binders and the proposal moves test
+        # it for every slot they walk.
+        object.__setattr__(self, "is_unused", self.opcode == "nop")
 
     def __hash__(self) -> int:
         # Same value the dataclass-generated hash would produce, computed
@@ -53,10 +57,6 @@ class Instruction:
             spec = spec_of(self.opcode)
             object.__setattr__(self, "_spec", spec)
             return spec
-
-    @property
-    def is_unused(self) -> bool:
-        return self.opcode == "nop"
 
     @property
     def latency(self) -> int:
@@ -89,6 +89,7 @@ class Instruction:
     def __setstate__(self, state) -> None:
         object.__setattr__(self, "opcode", state[0])
         object.__setattr__(self, "operands", state[1])
+        object.__setattr__(self, "is_unused", state[0] == "nop")
 
     def __str__(self) -> str:
         if not self.operands:

@@ -33,8 +33,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.x86 import scalar
 from repro.x86.emulator import Outcome
+from repro.x86.locations import MemLoc
 from repro.x86.operands import Imm, Mem, Operand, Reg32, Reg64, Xmm
 from repro.x86.program import Program
+from repro.x86.registers import GP64_INDEX, XMM_INDEX
 from repro.x86.signals import SignalError
 from repro.x86.state import MachineState
 
@@ -58,6 +60,7 @@ def _jit_globals() -> Dict[str, object]:
     env["unpack_d"] = scalar._PACK_D.unpack
     env["unpack_q"] = scalar._PACK_Q.unpack
     env["NAN_BITS"] = scalar._NAN_BITS
+    env["from_bytes"] = int.from_bytes
     env["__builtins__"] = {}
     return env
 
@@ -350,17 +353,8 @@ class _Ctx:
         raise TypeError(f"cannot read 128 bits from {op!r}")
 
 
-def _codegen(program: Program, comments: bool = False
-             ) -> Tuple[List[str], List[str], Tuple]:
-    """Generate (body, epilogue, writes) for a program.
-
-    The body computes every live value; the epilogue writes dirty
-    registers back into the ``gp``/``xl``/``xh`` arrays.  Both the
-    single-run and the batched function templates wrap these same lines.
-    ``writes`` is ``(gp_indices, xmm_lo_indices, xmm_hi_indices,
-    writes_mem)`` — the exact state slots an execution can mutate, which
-    the state pool uses to reset only dirty slots between runs.
-    """
+def _codegen_body(program: Program, comments: bool = False) -> _Ctx:
+    """The representation-tracking context after a program's body."""
     ctx = _Ctx()
     for instr in program.slots:
         if instr.is_unused:
@@ -368,10 +362,18 @@ def _codegen(program: Program, comments: bool = False
         if comments:
             ctx.emit(f"# {instr}")
         instr.spec.emit_fn(ctx, instr.operands)
+    return ctx
 
+
+def _codegen(program: Program, comments: bool = False
+             ) -> Tuple[List[str], List[str]]:
+    """Generate (body, epilogue) for a program's write-back function.
+
+    The body computes every live value; the epilogue writes dirty
+    registers back into the ``gp``/``xl``/``xh`` arrays.
+    """
+    ctx = _codegen_body(program, comments)
     epilogue: List[str] = []
-    xl_written: List[int] = []
-    xh_written: List[int] = []
     for index in sorted(ctx.gp_dirty):
         epilogue.append(f"gp[{index}] = r{index}")
     for (index, part), half in sorted(ctx.halves.items()):
@@ -380,12 +382,60 @@ def _codegen(program: Program, comments: bool = False
             # (the body) before the body is rendered below.
             body_var = ctx.bits(index, part)
             array = "xl" if part == "l" else "xh"
-            (xl_written if part == "l" else xh_written).append(index)
             epilogue.append(f"{array}[{index}] = {body_var}")
-    writes = (tuple(sorted(ctx.gp_dirty)), tuple(xl_written),
-              tuple(xh_written),
-              any("mem.store" in line for line in ctx.lines))
-    return ctx.lines, epilogue, writes
+    return ctx.lines, epilogue
+
+
+def _live_out_expr(ctx: _Ctx, loc) -> str:
+    """An expression for ``loc``'s bits after the body: exactly what
+    :func:`~repro.x86.locations.make_reader` would read from a state the
+    write-back epilogue had written."""
+    if isinstance(loc, MemLoc):
+        start = loc.offset
+        return (f"from_bytes(mem.segment({loc.segment!r})"
+                f".data[{start}:{start + loc.width // 8}], 'little')")
+    if loc.reg in XMM_INDEX:
+        index = XMM_INDEX[loc.reg]
+        if loc.width == 64:
+            return ctx.bits(index, "l" if loc.lane == 0 else "h")
+        bits = ctx.bits(index, "l" if loc.lane < 2 else "h")
+        shift = 32 * (loc.lane & 1)
+        return f"(({bits} >> {shift}) & 0x{_M32:x})"
+    mask = _M32 if loc.width == 32 else _M64
+    return f"({ctx.gp(GP64_INDEX[loc.reg])} & 0x{mask:x})"
+
+
+def generate_live_out_source(program: Program, live_outs: Sequence,
+                             name: str = "__kernel_outs") -> str:
+    """Translate a program to a function returning its live-outs.
+
+    The generated function runs the kernel body once per machine state
+    in ``states`` and returns one ``(values, signal)`` pair per state:
+    the live-out bit patterns in ``live_outs`` order and None, or None
+    and the signal.  It has no write-back epilogue, so every register
+    file is left as it was; memory stores land in the state's ``mem``
+    as usual, and a ``MemLoc`` is read from it after the body.  Only
+    the arrays the body and the reads name are loaded from a state.
+    """
+    ctx = _codegen_body(program)
+    exprs = [_live_out_expr(ctx, loc) for loc in live_outs]
+    values = "(" + "".join(f"{expr}, " for expr in exprs) + ")"
+    text = "\n".join(ctx.lines) + values
+    loads = [f"{var} = __s.{attr}" for var, attr, use in (
+        ("gp", "gp", "gp["), ("xl", "xmm_lo", "xl["),
+        ("xh", "xmm_hi", "xh["), ("mem", "mem", "mem.")) if use in text]
+    lines = [f"def {name}(states):", "    __out = []",
+             "    for __s in states:"]
+    lines += [f"        {line}" for line in loads]
+    lines += ["        try:", f"            {_PROLOGUE}"]
+    lines += [f"            {line}" for line in ctx.lines]
+    lines += [
+        f"            __out.append(({values}, None))",
+        "        except SignalError as __exc:",
+        "            __out.append((None, __exc.signal))",
+        "    return __out",
+    ]
+    return "\n".join(lines) + "\n"
 
 
 # The status flags the subset's cmp/test/ucomis* instructions define;
@@ -408,52 +458,40 @@ def generate_source(program: Program, name: str = "__kernel",
     assembly line (useful for inspection; the search leaves it off since
     comment tokens measurably slow ``compile``).
     """
-    body, epilogue, _ = _codegen(program, comments=comments)
+    body, epilogue = _codegen(program, comments=comments)
     return _render_scalar(body, epilogue, name)
 
 
-def generate_batch_source(program: Program,
-                          name: str = "__kernel_batch") -> str:
-    """Translate a program to a function over a whole batch of states.
-
-    The generated function runs the kernel body once per ``(gp, xl, xh,
-    mem)`` view in ``batch`` inside a single compiled-function call, so a
-    proposal's entire test set is dispatched without re-entering Python
-    between test cases.  A signalling test records its signal in
-    ``signals[i]`` and the batch carries on with the next state — one
-    faulting test must not tear down the rest of the batch.
-    """
-    body, epilogue, _ = _codegen(program)
-    lines = [
-        f"def {name}(batch, signals):",
-        "    __i = 0",
-        "    for gp, xl, xh, mem in batch:",
-        "        try:",
-        f"            {_PROLOGUE}",
-    ]
-    lines += [f"            {line}" for line in body + epilogue]
-    lines += [
-        "        except SignalError as __exc:",
-        "            signals[__i] = __exc.signal",
-        "        __i += 1",
-    ]
-    return "\n".join(lines) + "\n"
-
-
 class CompiledProgram:
-    """A program compiled to a reusable Python function."""
+    """A program compiled to reusable Python functions.
 
-    __slots__ = ("program", "source", "writes", "_fn", "_batch_fn")
+    Two entry points share one code-generated body: :meth:`run` writes
+    every register the program dirtied back into a state (for callers
+    that read whole states), and :meth:`run_live_outs` runs a batch of
+    states and returns their live-out values instead, leaving the
+    register files alone.  ``writes_mem`` says whether the program can
+    store to memory, the one part of a state :meth:`run_live_outs`
+    changes.
+    """
+
+    __slots__ = ("program", "source", "writes_mem", "_fn", "_outs_fns",
+                 "_outs_key", "_outs_fn")
 
     def __init__(self, program: Program):
         self.program = program
-        body, epilogue, self.writes = _codegen(program)
+        body, epilogue = _codegen(program)
+        self.writes_mem = any("mem.store" in line for line in body)
         self.source = _render_scalar(body, epilogue, "__kernel")
         code = compile(self.source, "<jit>", "exec")
         env: Dict[str, object] = {}
         exec(code, _GLOBALS, env)  # noqa: S102
         self._fn = env["__kernel"]
-        self._batch_fn = None
+        # Live-out entry points by live-out tuple, compiled on first use,
+        # and the last one used: this object is shared through the
+        # compile cache by Runners whose live-outs differ.
+        self._outs_fns: Dict[tuple, object] = {}
+        self._outs_key: Optional[tuple] = None
+        self._outs_fn = None
 
     def run(self, state: MachineState) -> Outcome:
         """Execute on a machine state in place.
@@ -467,39 +505,32 @@ class CompiledProgram:
             return Outcome(signal=exc.signal)
         return Outcome()
 
-    def specialize_batch(self) -> None:
-        """Compile the batched entry point now.
+    def run_live_outs(self, states: "Sequence[MachineState]",
+                      live_outs: tuple) -> List[tuple]:
+        """Execute on every state and return its live-outs.
 
-        :meth:`run_batch` compiles it on its first call; benchmarks call
-        this to keep that compile out of a timed window.
+        Returns one ``(values, signal)`` pair per state, aligned with
+        ``states``: the bit patterns of the ``live_outs`` tuple's
+        locations and None, or None and the signal.  The values are
+        those :meth:`run` followed by
+        :func:`~repro.x86.locations.make_reader` would give, but no
+        register is written back: ``gp``, ``xmm_lo``, ``xmm_hi`` and
+        ``flags`` are left as they were, and only the program's memory
+        stores change a state.  The entry point for a live-out tuple is
+        compiled on its first call (see
+        :func:`generate_live_out_source`).
         """
-        if self._batch_fn is None:
-            code = compile(generate_batch_source(self.program),
-                           "<jit-batch>", "exec")
+        if live_outs is self._outs_key:
+            return self._outs_fn(states)
+        fn = self._outs_fns.get(live_outs)
+        if fn is None:
+            code = compile(generate_live_out_source(self.program, live_outs),
+                           "<jit-outs>", "exec")
             env: Dict[str, object] = {}
             exec(code, _GLOBALS, env)  # noqa: S102
-            self._batch_fn = env["__kernel_batch"]
-
-    def run_batch(self, states: "Sequence[MachineState]") -> List[object]:
-        """Execute on every state in a single call.
-
-        Returns a list of per-state signals (``None`` for clean runs),
-        aligned with ``states``.  Each state is mutated in place exactly
-        as :meth:`run` would mutate it; a signalling state is abandoned
-        mid-program (architectural state undefined, as with ``run``) and
-        the batch continues with the next state.
-
-        The whole batch executes inside one call of the batched entry
-        point (see :func:`generate_batch_source`), which the first call
-        compiles.
-        """
-        signals: List[object] = [None] * len(states)
-        fn = self._batch_fn
-        if fn is None:
-            self.specialize_batch()
-            fn = self._batch_fn
-        fn([(s.gp, s.xmm_lo, s.xmm_hi, s.mem) for s in states], signals)
-        return signals
+            fn = self._outs_fns[live_outs] = env["__kernel_outs"]
+        self._outs_key, self._outs_fn = live_outs, fn
+        return fn(states)
 
 
 # Bounded LRU over immutable program values.  Like CostFunction._cache,

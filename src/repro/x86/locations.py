@@ -21,11 +21,18 @@ String grammar accepted by :func:`parse_loc`::
     xmm0:s0 .. s3  -> 32-bit single lanes, s0 = bits 31:0
 
 Memory live-outs are expressed as :class:`MemLoc` (segment, offset, type).
+
+Locations key the live-in dicts of test cases, so each hashes once: the
+first ``hash`` is kept on the object, as :class:`~repro.x86.instruction.
+Instruction` keeps its own.  :func:`parse_loc` returns one object per
+location whatever its spelling, so the keys of dicts built from parsed
+locations match by identity, without the dataclass ``__eq__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Dict
 
 from repro.x86.registers import GP32_INDEX, GP64_INDEX, XMM_INDEX
 from repro.x86.scalar import MASK32, MASK64
@@ -40,6 +47,18 @@ class Loc:
     lane: int  # for xmm: lane index in units of `width`; 0 for GP
     width: int  # 32 or 64
     ftype: str  # 'f64' | 'f32' | 'i64' | 'i32'
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            return _cache_hash(self)
+
+    def __getstate__(self):
+        return _fields_of(self)
+
+    def __setstate__(self, state) -> None:
+        _set_fields(self, state)
 
     def __str__(self) -> str:
         if self.reg in XMM_INDEX:
@@ -91,6 +110,18 @@ class MemLoc:
     offset: int
     ftype: str  # 'f64' | 'f32' | 'i64' | 'i32'
 
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            return _cache_hash(self)
+
+    def __getstate__(self):
+        return _fields_of(self)
+
+    def __setstate__(self, state) -> None:
+        _set_fields(self, state)
+
     @property
     def width(self) -> int:
         return 64 if self.ftype.endswith("64") else 32
@@ -110,6 +141,25 @@ class MemLoc:
         seg.data[self.offset : self.offset + size] = (bits & mask).to_bytes(
             size, "little"
         )
+
+
+def _cache_hash(loc) -> int:
+    """Compute the hash the dataclass would, and keep it on ``loc``."""
+    value = hash(_fields_of(loc))
+    object.__setattr__(loc, "_hash", value)
+    return value
+
+
+def _fields_of(loc) -> tuple:
+    # The pickled state: field values only.  A cached hash is of this
+    # process's string hashes, which differ in the parallel-search and
+    # job processes a location is sent to.
+    return tuple(getattr(loc, f.name) for f in fields(loc))
+
+
+def _set_fields(loc, state: tuple) -> None:
+    for f, value in zip(fields(loc), state):
+        object.__setattr__(loc, f.name, value)
 
 
 def make_reader(loc) -> "callable":
@@ -158,13 +208,32 @@ _GP32_OF = {name64: name32 for name32, name64 in zip(
 _GP32_TO_64 = {v: k for k, v in _GP32_OF.items()}
 
 
+# parse_loc's results by text, and the one object of each location.
+# Texts can come from outside (certificates, job payloads), so past
+# _PARSED_MAX distinct texts a parse returns a fresh, equal object.
+_PARSED: Dict[str, object] = {}
+_INTERNED: Dict[object, object] = {}
+_PARSED_MAX = 4096
+
+
 def parse_loc(text: str):
     """Parse the location grammar described in the module docstring.
 
     Also accepts the ``str(MemLoc)`` form ``[segment+offset]:ftype``, so
     every location round-trips through its string rendering (the
-    verification certificates serialize locations as strings).
+    verification certificates serialize locations as strings).  Equal
+    locations come back as one object, whatever their spelling:
+    ``parse_loc("xmm0") is parse_loc("xmm0:d")``.
     """
+    loc = _PARSED.get(text)
+    if loc is None:
+        loc = _parse(text)
+        if len(_PARSED) < _PARSED_MAX:
+            loc = _PARSED[text] = _INTERNED.setdefault(loc, loc)
+    return loc
+
+
+def _parse(text: str):
     text = text.strip()
     if text.startswith("["):
         body, bracket, spec = text.partition("]")

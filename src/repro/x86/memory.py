@@ -130,10 +130,15 @@ class Memory:
         """Immutable images of the writable segments, for `restore_writable`.
 
         Read-only segments cannot drift (stores to them fault before
-        mutating), so only writable pages are captured.
+        mutating), so only writable pages are captured.  A memory with
+        no segments (every libimf test) returns at once: this runs on
+        each whole-state checkpoint capture.
         """
-        return tuple((seg, bytes(seg.data))
-                     for seg in self.segments if seg.writable)
+        segments = self.segments
+        if not segments:
+            return ()
+        return tuple([(seg, bytes(seg.data))
+                      for seg in segments if seg.writable])
 
     def restore_writable(self, snapshot: tuple) -> None:
         """Reset writable segments to a `snapshot_writable` image in place.

@@ -208,7 +208,7 @@ def step_of(instr) -> Tuple[Callable, tuple]:
 
 def bound_steps(slots) -> tuple:
     """Bound steps for the non-UNUSED instructions of a slot sequence."""
-    return tuple(step_of(instr) for instr in slots if not instr.is_unused)
+    return tuple([step_of(instr) for instr in slots if not instr.is_unused])
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +302,8 @@ def lane_step_of(instr) -> tuple:
 
 def lane_steps(slots) -> tuple:
     """Lane steps for the non-UNUSED instructions of a slot sequence."""
-    return tuple(lane_step_of(instr) for instr in slots
-                 if not instr.is_unused)
+    return tuple([lane_step_of(instr) for instr in slots
+                  if not instr.is_unused])
 
 
 # Bulk struct conversions between a column's bits and its floats, per

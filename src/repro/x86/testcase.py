@@ -44,9 +44,9 @@ class TestCase:
         self._pooled: Optional[MachineState] = None
         self._snapshot: Optional[tuple] = None
         # What the pooled state's current holder may have modified:
-        # None (nothing — state is pristine), "all" (unknown — full
-        # restore needed), or a (gp, xmm_lo, xmm_hi, mem) write set
-        # promised via pooled_state(writes).
+        # None (nothing — state is pristine), "mem" (its writable pages,
+        # promised via pooled_state(writes_mem=True)) or "all" (unknown —
+        # full restore needed).
         self._dirt = None
 
     @classmethod
@@ -80,28 +80,28 @@ class TestCase:
         """A fresh machine state initialized from this test case."""
         return self.template_state().copy()
 
-    def pooled_state(self, writes: Optional[tuple] = None) -> MachineState:
+    def pooled_state(self, writes_mem: Optional[bool] = None
+                     ) -> MachineState:
         """This test's reusable machine state, reset in place.
 
         The first call builds the state (one :meth:`build_state` copy) and
-        snapshots it; every later call restores the slots dirtied since
+        snapshots it; every later call restores what was dirtied since
         then from the snapshot instead of allocating a fresh copy.  This
         is the evaluator's state pool: millions of proposal executions
         per search reuse one state per test case.
 
-        ``writes`` is the caller's promise about what it will mutate
-        before the next ``pooled_state`` call: the ``(gp_indices,
-        xmm_lo_indices, xmm_hi_indices, writes_mem)`` write set of the
-        one compiled program it is about to run (see the JIT's
-        ``CompiledProgram.writes``).  The next call then resets just
-        those slots.  Omit it to promise nothing — the next call does a
-        full restore.
-
-        Every reset also restores the status flags, which no write set
-        names: the JIT and vector backends never write ``state.flags``,
-        but bound steps and the emulator do, and every run on a pooled
-        state must start with the test's pristine (all-clear) flags, as
-        the JIT and vector prologues assume.
+        ``writes_mem`` is the caller's promise about what it will change
+        before the next ``pooled_state`` call: False for nothing, True
+        for the writable pages only.  A compiled program's live-out run
+        (``CompiledProgram.run_live_outs``) keeps that promise with its
+        ``writes_mem``: it leaves register files and flags alone and
+        changes memory only when the program stores.  The next call then
+        restores the pages, or nothing.  Omit the promise to promise
+        nothing — the next call does a full restore, status flags
+        included: bound steps and the emulator write ``state.flags``,
+        and every run on a pooled state must start with the test's
+        pristine (all-clear) flags, as the JIT and vector prologues
+        assume.
 
         The returned state is only valid until the next ``pooled_state``
         call on this test case; callers that need an independent state
@@ -116,26 +116,9 @@ class TestCase:
         elif dirt == "all":
             pooled.restore(self._snapshot)
         elif dirt is not None:
-            # Precise write set promised by the previous holder: reset
-            # only the slots that can actually differ from the snapshot,
-            # plus the flags.  (Inlined: this runs once per test per
-            # proposal evaluation.)
-            gp_idx, xl_idx, xh_idx, mem = dirt
-            snap_gp, snap_lo, snap_hi, snap_flags, mem_snapshot = \
-                self._snapshot
-            gp = pooled.gp
-            for index in gp_idx:
-                gp[index] = snap_gp[index]
-            lo = pooled.xmm_lo
-            for index in xl_idx:
-                lo[index] = snap_lo[index]
-            hi = pooled.xmm_hi
-            for index in xh_idx:
-                hi[index] = snap_hi[index]
-            pooled.flags.update(snap_flags)
-            if mem:
-                pooled.mem.restore_writable(mem_snapshot)
-        self._dirt = writes if writes is not None else "all"
+            pooled.mem.restore_writable(self._snapshot[4])
+        self._dirt = ("all" if writes_mem is None
+                      else "mem" if writes_mem else None)
         return pooled
 
     def restored_state(self, image: tuple) -> MachineState:

@@ -47,7 +47,7 @@ kernels (it covers every register/immediate form the libimf kernels use).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -204,6 +204,25 @@ def pack_lanes(template: MachineState, inputs, n: int) -> tuple:
             gp[GP64_INDEX[loc.reg]] = bits & _M32U if loc.width == 32 \
                 else bits
     return gp, xl, xh
+
+
+def live_out_registers(locs) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The ``(gp, xmm)`` register indices the register locations among
+    ``locs`` read: rows a lane context must hold for
+    :func:`make_column_readers` (see
+    :meth:`VectorizedProgram.run_batch_columns`)."""
+    from repro.x86.locations import MemLoc
+    from repro.x86.registers import GP64_INDEX, XMM_INDEX
+
+    gp, xmm = set(), set()
+    for loc in locs:
+        if isinstance(loc, MemLoc):
+            continue
+        if loc.reg in XMM_INDEX:
+            xmm.add(XMM_INDEX[loc.reg])
+        else:
+            gp.add(GP64_INDEX[loc.reg])
+    return tuple(sorted(gp)), tuple(sorted(xmm))
 
 
 def make_column_readers(locs) -> tuple:
@@ -1159,20 +1178,22 @@ def _vectorize_instr(instr: Instruction):
 class VectorizedProgram:
     """A program translated once into per-instruction vector closures.
 
-    Drop-in for the JIT's ``CompiledProgram`` surface as the Runner
-    consumes it: ``writes``, :meth:`run`, :meth:`run_batch` — both
-    operating on ordinary scalar :class:`MachineState`s via a
-    pack -> vector-execute -> scatter round trip.
+    Stands in for the JIT's ``CompiledProgram`` as the Runner consumes
+    it: ``writes_mem``, :meth:`run` on one scalar
+    :class:`MachineState` (a pack -> vector-execute -> scatter round
+    trip), and :meth:`run_batch_columns`, which leaves the states'
+    register files alone.
     """
 
-    __slots__ = ("program", "writes", "_ops", "_gp_refs", "_xmm_refs",
-                 "vector_coverage")
+    __slots__ = ("program", "writes_mem", "_writes", "_ops", "_gp_refs",
+                 "_xmm_refs", "vector_coverage")
 
     def __init__(self, program: Program):
         self.program = program
-        # Liveness over-approximation (the JIT reports exact sets from
-        # codegen); any superset is safe for the pooled-state promise.
-        self.writes = program_writes(program)
+        # Liveness over-approximation of what a run writes; any superset
+        # is safe for :meth:`run`'s scatter.
+        self._writes = program_writes(program)
+        self.writes_mem = self._writes[3]
         gp_refs, xmm_refs = registers_referenced(program)
         self._gp_refs = tuple(sorted(gp_refs))
         self._xmm_refs = tuple(sorted(xmm_refs))
@@ -1193,59 +1214,52 @@ class VectorizedProgram:
         # emulator-like speed).
         self.vector_coverage = covered / total if total else 1.0
 
-    # -- execution core ----------------------------------------------------
-
-    def _execute(self, states: Sequence[MachineState]) -> List[object]:
-        if not states:
-            return []
-        ctx = _Lanes(states, self._gp_refs, self._xmm_refs)
-        gp_idx, xl_idx, xh_idx, _mem = self.writes
-        with np.errstate(all="ignore"):
-            for op in self._ops:
-                if op is not None:
-                    op(ctx)
-        # Scatter written rows back into the scalar states.  Faulted
-        # lanes are skipped (state undefined after a signal, as with the
-        # scalar backends).  ``tolist`` converts a whole row to Python
-        # ints in one C call.
-        signals = ctx.signals
-        clean = [j for j in range(ctx.n) if signals[j] is None]
-        if clean:
-            for arr, indices, attr in ((ctx.gp, gp_idx, "gp"),
-                                       (ctx.xl, xl_idx, "xmm_lo"),
-                                       (ctx.xh, xh_idx, "xmm_hi")):
-                for i in indices:
-                    row = arr[i].tolist()
-                    for j in clean:
-                        getattr(states[j], attr)[i] = row[j]
-        return signals
-
     # -- CompiledProgram-compatible surface --------------------------------
 
     def run(self, state: MachineState) -> Outcome:
         """Execute on one machine state in place (single-lane vector)."""
-        signal = self._execute([state])[0]
+        ctx = _Lanes([state], self._gp_refs, self._xmm_refs)
+        with np.errstate(all="ignore"):
+            for op in self._ops:
+                if op is not None:
+                    op(ctx)
+        signal = ctx.signals[0]
+        if signal is None:
+            # Scatter the written rows back into the scalar state; after
+            # a signal the state is undefined, as with the scalar
+            # backends.
+            gp_idx, xl_idx, xh_idx, _mem = self._writes
+            for arr, indices, regs in ((ctx.gp, gp_idx, state.gp),
+                                       (ctx.xl, xl_idx, state.xmm_lo),
+                                       (ctx.xh, xh_idx, state.xmm_hi)):
+                for i in indices:
+                    regs[i] = int(arr[i, 0])
         return Outcome(signal=signal)
 
-    def run_batch(self, states: Sequence[MachineState]) -> List[object]:
-        """Execute on every state; per-state signals (None = clean)."""
-        return self._execute(states)
-
     def run_batch_columns(self, states: Sequence[MachineState],
-                          packed: Optional[tuple] = None):
+                          packed: Optional[tuple],
+                          live_regs: Tuple[tuple, tuple]):
         """Execute without scattering; returns ``(signals, lane context)``.
 
         The Runner's vector fast path reads live-out bits straight from
         the context's rows (:func:`make_column_readers`) instead of
         round-tripping through scalar states, so the states' register
         files are left untouched — only their memory can be mutated (in
-        place, by per-lane stores).  ``packed`` optionally supplies a
-        freshly gathered :func:`pack_states` image to adopt (ownership
-        transfers) instead of gathering from ``states``.
+        place, by per-lane stores).  ``packed`` is a freshly gathered
+        :func:`pack_states` image to adopt (ownership transfers), or
+        None to gather from ``states``: then only the registers the
+        program names are gathered, plus the ``(gp, xmm)`` indices of
+        ``live_regs`` (:func:`live_out_registers`), because a live-out
+        the program never names must still read its state's value, not
+        zero.
         """
         if not states:
             return [], None
-        ctx = _Lanes(states, self._gp_refs, self._xmm_refs, packed)
+        gp_refs, xmm_refs = self._gp_refs, self._xmm_refs
+        if packed is None:
+            gp_refs = sorted(set(gp_refs).union(live_regs[0]))
+            xmm_refs = sorted(set(xmm_refs).union(live_regs[1]))
+        ctx = _Lanes(states, gp_refs, xmm_refs, packed)
         with np.errstate(all="ignore"):
             for op in self._ops:
                 if op is not None:

@@ -11,11 +11,13 @@ import random
 import pytest
 
 from repro.x86.assembler import assemble
+from repro.x86.checkpoint import program_writes
 from repro.x86.jit import compile_program
 from repro.x86.locations import MemLoc
 from repro.x86.signals import Signal
 
-from repro.core.runner import Runner
+from repro.core.runner import (DIRTIES_ALL, DIRTIES_MEMORY, DIRTIES_NOTHING,
+                               Runner)
 from repro.kernels.libimf import LIBIMF_KERNELS
 
 from tests.conftest import base_testcase, random_program
@@ -138,10 +140,10 @@ def test_memory_writes_restored_between_runs(backend):
 
 
 def test_interleaved_programs_with_different_write_sets():
-    # Program A dirties xmm slots, program B dirties a GP register and
+    # Program A writes xmm registers, program B a GP register and
     # memory.  Alternating them over the same pooled states exercises
-    # the dirty-slot promise: each handout restores exactly what the
-    # previous program said it would write.
+    # the pool's promise: each handout restores the pages after B's
+    # stores and nothing after A, whose registers never reach the state.
     prog_a = assemble("addsd xmm1, xmm0\nmulsd xmm0, xmm1")
     prog_b = assemble("mov rcx, rax\nmovsd xmm2, (rbx)")
     tests = [base_testcase(40 + i) for i in range(6)]
@@ -151,7 +153,7 @@ def test_interleaved_programs_with_different_write_sets():
     expected_b = reference_results(runner, prog_b, tests)
     a = runner.prepare(prog_a)
     b = runner.prepare(prog_b)
-    assert a.writes != b.writes
+    assert not a.writes_mem and b.writes_mem
     for _ in range(3):
         assert runner.run_batch(a, tests) == expected_a
         assert runner.run_batch(b, tests) == expected_b
@@ -159,13 +161,14 @@ def test_interleaved_programs_with_different_write_sets():
 
 @pytest.mark.parametrize("seed", range(12))
 def test_compiled_writes_covers_all_mutations(seed):
-    # CompiledProgram.writes is a promise consumed by the state pool's
-    # targeted restore; any slot it omits would never be reset.  Diff a
-    # fresh state before/after execution and check every changed slot is
-    # covered.
+    # CompiledProgram.writes_mem is the state pool's promise for a
+    # live-out run: a store it missed would never be reset.
+    # program_writes is what the vector backend's write-back run
+    # scatters; a register it omits would be lost.  Diff a fresh state
+    # before/after a write-back run and check every change is covered.
     program = random_program(seed, 10)
     compiled = compile_program(program)
-    gp_idx, xl_idx, xh_idx, writes_mem = compiled.writes
+    gp_idx, xl_idx, xh_idx, writes_mem = program_writes(program)
     tc = base_testcase(seed)
     state = tc.build_state()
     before = state.snapshot()
@@ -182,7 +185,7 @@ def test_compiled_writes_covers_all_mutations(seed):
         if old != new:
             assert i in xh_idx
     if state.mem.snapshot_writable() != mem0:
-        assert writes_mem
+        assert writes_mem and compiled.writes_mem
 
 
 def _contents(state):
@@ -205,19 +208,22 @@ def test_pooled_state_full_restore_without_promise():
 
 
 def test_pooled_state_honors_write_promise_scope():
-    # With a precise promise, only the promised slots are restored; a
-    # violation of the promise (mutating an unpromised slot) is visible
-    # on the next handout.  This pins the contract: the promise is load-
-    # bearing, not advisory.
+    # With a promise, only what it names is restored; a violation of
+    # the promise (mutating a register) is visible on the next handout.
+    # This pins the contract: the promise is load-bearing, not advisory.
     tc = base_testcase(2)
-    pristine = tc.build_state().snapshot()
-    promise = ((0,), (), (), False)  # "I will only write gp[0]"
-    state = tc.pooled_state(promise)
-    state.gp[0] = 0x1111
+    pristine = _contents(tc.build_state())
+    state = tc.pooled_state(writes_mem=True)  # "I will only write memory"
+    state.mem.store8(0x4000, 0xDEAD)
     state.gp[1] = 0x2222  # outside the promise
-    state = tc.pooled_state()
-    assert state.gp[0] == pristine[0][0]  # promised slot restored
+    state = tc.pooled_state(writes_mem=False)  # "I will write nothing"
+    assert _contents(state)[3] == pristine[3]  # promised pages restored
     assert state.gp[1] == 0x2222  # unpromised slot intentionally not
+    state.xmm_lo[3] = 0x5678  # outside this promise too
+    state = tc.pooled_state()
+    assert state.xmm_lo[3] == 0x5678
+    state = tc.pooled_state()
+    assert _contents(state) == pristine  # no promise: a full restore
 
 
 def test_pooled_flags_do_not_leak_across_backends():
@@ -375,3 +381,49 @@ def test_vector_backend_faulting_lane_is_frozen():
     assert expected[1] == (None, Signal.SIGSEGV)
     prepared = runner.prepare(program)
     assert runner.run_batch(prepared, tests) == expected
+
+
+# Live-outs the random programs below may or may not name: a
+# memory-writing program that never touches xmm0 must still read it.
+EXECUTE_LIVE_OUTS = ("xmm0", "xmm1:s1", "rax", "eax", "[scratch+8]:f64")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("seed", range(12))
+def test_execute_batch_from_returns_the_live_outs(backend, seed):
+    # execute_batch_from returns what run_batch returns, on caller-owned
+    # states; where dirties() says a run keeps register files and flags
+    # out of the states, it does, and memory changes only for a program
+    # that stores.
+    runner = Runner(EXECUTE_LIVE_OUTS, backend=backend)
+    program = random_program(seed, 10)
+    tests = [base_testcase(seed * 5 + k) for k in range(4)]
+    prepared = runner.prepare(program)
+    states = [test.build_state() for test in tests]
+    snapshots = [state.snapshot() for state in states]
+    got = runner.execute_batch_from(prepared, states)
+    assert got == reference_results(runner, program, tests)
+    dirt = runner.dirties(prepared)
+    assert dirt == (DIRTIES_ALL if backend == "emulator" else
+                    DIRTIES_MEMORY if prepared.writes_mem else
+                    DIRTIES_NOTHING)
+    if dirt != DIRTIES_ALL:
+        for state, snapshot in zip(states, snapshots):
+            assert state.snapshot()[:4] == snapshot[:4]
+            if dirt == DIRTIES_NOTHING:
+                assert state.snapshot()[4] == snapshot[4]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_live_out_the_program_never_names(backend):
+    # A memory-writing program on the vector backend gathers only the
+    # registers it names into its lane arrays; xmm0 must still read the
+    # test's value, in run_batch and in execute_batch_from.
+    runner = Runner(["xmm0", "xmm1"], backend=backend)
+    prepared = runner.prepare(assemble("movsd xmm1, 8(rbx)"))
+    tests = [base_testcase(0), base_testcase(1)]
+    want = [((test.value_of("xmm0"), test.value_of("xmm1")), None)
+            for test in tests]
+    assert runner.run_batch(prepared, tests) == want
+    states = [test.build_state() for test in tests]
+    assert runner.execute_batch_from(prepared, states) == want

@@ -16,7 +16,7 @@ import pytest
 
 from repro.service.agent import RemoteSource
 from repro.service.api import ApiServer, ServiceClient, ServiceError, \
-    _Handler
+    _AcceptingServer, _Handler
 from repro.service.campaign import CampaignSpec
 from repro.service.jobs import JobSpec
 from repro.service.store import Ledger
@@ -607,6 +607,14 @@ def _health_on_a_fresh_connection(server) -> bytes:
         return _read_to_eof(sock)
 
 
+def _assert_threads_end(threads) -> None:
+    deadline = time.monotonic() + 1.0
+    while any(t.is_alive() for t in threads) \
+            and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not any(thread.is_alive() for thread in threads)
+
+
 def _record_health_threads(monkeypatch) -> list:
     """The handler thread of every /v1/health request, in order."""
     threads = []
@@ -703,7 +711,11 @@ class TestAcceptingThreads:
         assert elapsed < 0.25, f"stop() took {elapsed:.3f}s"
         assert not any(thread.is_alive() for thread in acceptors)
 
-    def test_kept_alive_connection_is_refused_after_stop(self, tmp_path):
+    def test_kept_alive_connection_is_hung_up_at_stop(self, tmp_path):
+        # The connection waits for its next request line when stop()
+        # runs: the wait ends with end-of-file, so the server hangs up
+        # and no api-server thread outlives stop() by half a second,
+        # although the client keeps its socket open.
         before = set(threading.enumerate())
         server = ApiServer(str(tmp_path / "store")).start()
         conn = http.client.HTTPConnection(server.host, server.port,
@@ -713,18 +725,66 @@ class TestAcceptingThreads:
             response = conn.getresponse()
             assert json.loads(response.read())["ok"] is True
             server.stop()
-            conn.sock.sendall(b"GET /v1/health HTTP/1.1\r\n"
-                              b"Host: localhost\r\n\r\n")
-            reply = _read_to_eof(conn.sock)
+            time.sleep(0.5)
+            left = [thread for thread in set(threading.enumerate()) - before
+                    if thread.name == "api-server" and thread.is_alive()]
+            conn.sock.settimeout(1.0)
+            assert conn.sock.recv(4096) == b""
         finally:
             conn.close()
+        assert left == []
+
+    def test_request_in_flight_at_stop_completes(self, tmp_path,
+                                                 monkeypatch):
+        entered, release = threading.Event(), threading.Event()
+        health = _Handler._health
+
+        def slow_health(self):
+            entered.set()
+            release.wait(5.0)
+            health(self)
+
+        monkeypatch.setattr(_Handler, "_health", slow_health)
+        before = set(threading.enumerate())
+        server = ApiServer(str(tmp_path / "store")).start()
+        with socket.create_connection((server.host, server.port),
+                                      timeout=5) as sock:
+            sock.sendall(b"GET /v1/health HTTP/1.1\r\n"
+                         b"Host: localhost\r\n\r\n")
+            assert entered.wait(5.0)
+            server.stop()
+            release.set()
+            reply = _read_to_eof(sock)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert json.loads(body)["ok"] is True
+        _assert_threads_end(set(threading.enumerate()) - before)
+
+    def test_request_arriving_during_stop_is_refused(self, tmp_path,
+                                                     monkeypatch):
+        # A request line read as stop() runs reaches no handler: the
+        # request answers 503 and the server hangs up.
+        arrived, stopped = threading.Event(), threading.Event()
+        started = _AcceptingServer.request_started
+
+        def held_start(self, connection):
+            arrived.set()
+            stopped.wait(5.0)
+            started(self, connection)
+
+        monkeypatch.setattr(_AcceptingServer, "request_started", held_start)
+        before = set(threading.enumerate())
+        server = ApiServer(str(tmp_path / "store")).start()
+        with socket.create_connection((server.host, server.port),
+                                      timeout=5) as sock:
+            sock.sendall(b"GET /v1/health HTTP/1.1\r\n"
+                         b"Host: localhost\r\n\r\n")
+            assert arrived.wait(5.0)
+            server.stop()
+            stopped.set()
+            reply = _read_to_eof(sock)
         head, _, body = reply.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 503 ")
         assert b"\r\nConnection: close" in head
         assert json.loads(body) == {"error": "the server is shutting down"}
-        threads = set(threading.enumerate()) - before
-        deadline = time.monotonic() + 1.0
-        while any(t.is_alive() for t in threads) \
-                and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert not any(thread.is_alive() for thread in threads)
+        _assert_threads_end(set(threading.enumerate()) - before)

@@ -19,7 +19,9 @@ import pytest
 from repro.fp.ieee754 import double_to_bits
 from repro.kernels.aek.vector import scale_kernel, scale_rewrite
 from repro.x86.assembler import assemble
+from repro.x86.memory import Memory
 from repro.x86.program import Program
+from repro.x86.state import MachineState
 from repro.x86.testcase import TestCase
 
 from repro.core.cost import location_ulp_distance
@@ -163,6 +165,48 @@ class TestErrBlock:
                       [without, with_xmm1]):
             assert validator.err_block(block) == reference_errs(
                 backend, target, rewrite, block)
+
+    def test_register_only_pair_changes_only_live_in_slots(self,
+                                                          monkeypatch):
+        # On jit the runs return their live-outs and write no register
+        # back, so the shared pool states of a register-only pair are
+        # never reset: across a block each changes only in the slots its
+        # test's live-ins name, and ends as that test's own state.
+        target = "movsd xmm0, xmm2\nmulsd xmm1, xmm2\naddsd xmm2, xmm0\n" \
+                 "cvttsd2si xmm0, rax\nucomisd xmm1, xmm0"
+        rewrite = "mulsd xmm1, xmm0\ncvtsd2si xmm0, rcx\nmovsd xmm0, xmm3"
+        ranges = {"xmm0": (-10.0, 10.0), "xmm1": (1.0, 2.0)}
+        base = base_testcase(0)
+        validator = Validator(assemble(target), assemble(rewrite),
+                              ["xmm0"], ranges, lambda: base, backend="jit")
+        validator.err_block(drawn_proposals(8, seed=1, ranges=ranges,
+                                            base=base))
+        resets = []
+        monkeypatch.setattr(MachineState, "restore",
+                            lambda *args: resets.append(args))
+        monkeypatch.setattr(Memory, "restore_writable",
+                            lambda *args: resets.append(args))
+        block = drawn_proposals(8, seed=2, ranges=ranges, base=base)
+        slots = [slot[2] for slot in validator._pool._slots]
+        before = [state.snapshot() for state in slots]
+        errs = validator.err_block(block)
+        assert resets == []
+        assert errs == reference_errs("jit", target, rewrite, block)
+        for test, state, old in zip(block, slots, before):
+            live_ins = {(loc.reg, loc.lane) for loc in test.inputs}
+            new = state.snapshot()
+            assert new[3] == old[3]  # flags
+            assert [bytes(seg.data) for seg in state.mem.segments
+                    if seg.writable] == [image for _, image in old[4]]
+            for name, index in itertools.product(("xmm0", "xmm1", "xmm2",
+                                                  "xmm3"), range(2)):
+                file = 1 + index  # xmm_lo, xmm_hi
+                reg = int(name[3:])
+                if (name, index) not in live_ins:
+                    assert new[file][reg] == old[file][reg]
+            fresh = test.build_state()
+            assert (state.gp, state.xmm_lo, state.xmm_hi) == \
+                (fresh.gp, fresh.xmm_lo, fresh.xmm_hi)
 
     @pytest.mark.parametrize("backend", ("jit", "emulator"))
     def test_no_test_case_builds_a_machine_state(self, backend):

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from repro.x86.assembler import assemble
 from repro.x86.emulator import Emulator
 from repro.x86.jit import (CompiledProgram, compile_program, float_literal,
-                           generate_batch_source, generate_source)
+                           generate_live_out_source, generate_source)
 from repro.x86.liveness import dead_code_eliminate, uses_and_defs
+from repro.x86.locations import make_reader, parse_loc
 from repro.x86.program import Program
 from repro.x86.signals import Signal
 from repro.x86.testcase import TestCase
@@ -147,20 +148,26 @@ class TestJitInternals:
 
 
 class TestBatchDispatch:
+    """The batched entry point, ``CompiledProgram.run_live_outs``."""
+
+    LIVE_OUTS = (parse_loc("xmm0"), parse_loc("xmm3"), parse_loc("rax"))
+
     def test_batch_source_is_deterministic(self):
         program = assemble("addsd xmm1, xmm0\nmulsd xmm2, xmm0")
-        assert generate_batch_source(program) == generate_batch_source(program)
+        assert generate_live_out_source(program, self.LIVE_OUTS) == \
+            generate_live_out_source(program, self.LIVE_OUTS)
 
     def test_empty_program_batch(self):
         compiled = CompiledProgram(Program([]))
-        states = [TestCase({}).build_state() for _ in range(3)]
-        assert compiled.run_batch(states) == [None, None, None]
+        states = [TestCase({"xmm3": 5}).build_state() for _ in range(3)]
+        assert compiled.run_live_outs(states, self.LIVE_OUTS) == \
+            [((0, 5, 0), None)] * 3
 
     def test_first_batch_matches_per_state_runs(self):
-        # A fresh program's first batch runs the batched entry point and
-        # leaves every state and signal as per-state run() does; the
-        # state in the middle faults on the load through rsi, after a
-        # store.
+        # A fresh program's first batch returns what per-state run()
+        # plus the readers return, leaves every register file as it was
+        # and stores as run() does; the state in the middle faults on
+        # the load through rsi, after a store.
         program = random_program(77, 10).padded(13)
         for slot, line in ((10, "movsd xmm0, 8(rbx)"),
                            (11, "movsd (rsi), xmm3"),
@@ -171,18 +178,24 @@ class TestBatchDispatch:
         tests[2] = tests[2].replace("rsi", 0xDEAD0000)
         compiled = CompiledProgram(program)
         batch = [tc.build_state() for tc in tests]
-        signals = compiled.run_batch(batch)
-        assert compiled._batch_fn is not None
+        results = compiled.run_live_outs(batch, self.LIVE_OUTS)
+        readers = [make_reader(loc) for loc in self.LIVE_OUTS]
         single = [tc.build_state() for tc in tests]
-        assert signals == [compiled.run(state).signal for state in single]
-        assert signals[2] == Signal.SIGSEGV
-        assert signals.count(None) == 4
-        for got, want in zip(batch, single):
-            assert got.gp == want.gp
-            assert got.xmm_lo == want.xmm_lo
-            assert got.xmm_hi == want.xmm_hi
+        want = []
+        for state in single:
+            signal = compiled.run(state).signal
+            want.append((None, signal) if signal is not None else
+                        (tuple(read(state) for read in readers), None))
+        assert results == want
+        assert results[2] == (None, Signal.SIGSEGV)
+        assert [signal for _, signal in results].count(None) == 4
+        for test, got, run_state in zip(tests, batch, single):
+            fresh = test.build_state()
+            assert got.gp == fresh.gp
+            assert got.xmm_lo == fresh.xmm_lo
+            assert got.xmm_hi == fresh.xmm_hi
             assert [img for _seg, img in got.mem.snapshot_writable()] == \
-                [img for _seg, img in want.mem.snapshot_writable()]
+                [img for _seg, img in run_state.mem.snapshot_writable()]
 
 
 class TestCompileCache:

@@ -1,5 +1,6 @@
 """Tests for MachineState, Loc/MemLoc, and TestCase."""
 
+import dataclasses
 import random
 import struct
 
@@ -88,6 +89,70 @@ class TestLocations:
 
     def test_memloc_str(self):
         assert str(MemLoc("v1", 8, "f32")) == "[v1+8]:f32"
+
+    def test_parse_interns(self):
+        # Equal locations parse to one object, whatever the spelling, so
+        # live-in dicts built from parsed locations match by identity.
+        assert parse_loc("xmm0") is parse_loc("xmm0:d")
+        assert parse_loc("xmm0") is parse_loc(" %xmm0 ")
+        assert parse_loc("eax") is parse_loc("eax")
+        assert parse_loc("[v1+8]:f32") is parse_loc("[v1+8]:f32")
+        assert parse_loc("xmm0") is not parse_loc("xmm0:hd")
+
+    def test_interning_is_bounded(self, monkeypatch):
+        # Past the bound a parse still gives an equal location, but
+        # remembers nothing more.
+        from repro.x86 import locations
+
+        monkeypatch.setattr(locations, "_PARSED_MAX",
+                            len(locations._PARSED))
+        first = parse_loc("[bounded+8]:f64")
+        assert first == MemLoc("bounded", 8, "f64")
+        assert parse_loc("[bounded+8]:f64") is not first
+        assert "[bounded+8]:f64" not in locations._PARSED
+
+    def test_hash_is_the_dataclass_hash(self):
+        for loc in (Loc("xmm3", 1, 32, "f32"), MemLoc("v1", 8, "f32")):
+            fields = dataclasses.astuple(loc)
+            assert hash(loc) == hash(fields)
+            assert hash(loc) == hash(fields)  # the cached value
+            assert loc == type(loc)(*fields)
+
+    def test_pickle_drops_the_cached_hash(self):
+        # String hashes differ between processes, and locations are sent
+        # to parallel-search and job processes: a location pickled under
+        # one PYTHONHASHSEED must hash and compare equal after loading
+        # under another.
+        import os
+        import subprocess
+        import sys
+
+        code = ("import pickle, sys\n"
+                "from repro.x86.locations import parse_loc\n"
+                "if sys.argv[1] == 'dump':\n"
+                "    locs = [parse_loc(t) for t in sys.argv[2:]]\n"
+                "    [hash(loc) for loc in locs]\n"
+                "    sys.stdout.buffer.write(pickle.dumps(locs))\n"
+                "else:\n"
+                "    locs = pickle.loads(sys.stdin.buffer.read())\n"
+                "    fresh = [parse_loc(t) for t in sys.argv[2:]]\n"
+                "    table = dict.fromkeys(fresh, 1)\n"
+                "    assert [hash(a) for a in locs] == "
+                "[hash(b) for b in fresh]\n"
+                "    assert locs == fresh\n"
+                "    assert all(table[loc] for loc in locs)\n"
+                "    print('ok')\n")
+        texts = ["xmm0", "xmm1:s2", "rax", "eax", "[scratch+8]:f64"]
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+
+        def run(seed, mode, data=b""):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.path.abspath(src))
+            return subprocess.run([sys.executable, "-c", code, mode, *texts],
+                                  input=data, capture_output=True, env=env,
+                                  check=True).stdout
+
+        assert run("2", "load", run("1", "dump")) == b"ok\n"
 
 
 class TestTestCase:

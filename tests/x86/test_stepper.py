@@ -19,6 +19,7 @@ import pytest
 
 from repro.kernels.libimf import LIBIMF_KERNELS
 from repro.x86.assembler import assemble
+from repro.x86.instruction import UNUSED
 from repro.x86.signals import Signal, SignalError
 from repro.x86.program import Program
 from repro.x86.scalar import d2u
@@ -155,6 +156,16 @@ class TestBinding:
         clone = pickle.loads(pickle.dumps(instr))
         assert clone == instr
         assert not hasattr(clone, "_step") and not hasattr(clone, "_lane")
+
+    def test_unused_test_survives_pickling(self):
+        # is_unused is an attribute set at construction, which the
+        # binders read per slot; unpickling sets it too.
+        slots = [assemble("addsd xmm1, xmm0").slots[0], UNUSED]
+        for instr in slots:
+            clone = pickle.loads(pickle.dumps(instr))
+            assert clone.is_unused == instr.is_unused == (
+                instr.opcode == "nop")
+        assert bound_steps(slots * 3) == (step_of(slots[0]),) * 3
 
     def test_hot_shapes_have_lane_forms(self):
         for text in ("mulsd xmm1, xmm0", "addsd xmm2, xmm3",
